@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the analytical kernels behind the
 // "early-stage exploration" claim: one CLR Markov-chain evaluation, one full
 // task-metric evaluation, list scheduling, QoS estimation, a whole NSGA-II
-// generation, hypervolume computation and task-graph generation.
+// generation and its non-dominated sort, hypervolume computation and
+// task-graph generation.
 //
 // These document that a single fitness evaluation costs microseconds —
 // which is what makes the multi-stage GA flows tractable on a laptop.
@@ -9,6 +10,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "app/characterizer.hpp"
 #include "app/sobel.hpp"
@@ -16,9 +18,11 @@
 #include "core/dse.hpp"
 #include "core/experiment.hpp"
 #include "moea/hypervolume.hpp"
+#include "moea/pareto.hpp"
 #include "platform/architecture.hpp"
 #include "reliability/clr_chain_builder.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -105,6 +109,27 @@ void BM_Nsga2Generation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Nsga2Generation)->Arg(20)->Arg(100)->Unit(benchmark::kMillisecond);
+
+void BM_NonDominatedSort(benchmark::State& state) {
+  // NSGA-II's ranking kernel alone: n two-objective points, unconstrained
+  // (range(1) == 0) or with half the points infeasible (range(1) == 1).
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(8);
+  std::vector<moea::Objectives> points;
+  std::vector<double> violations;
+  for (std::size_t i = 0; i < n; ++i) {
+    points.push_back({rng.uniform(), rng.uniform()});
+    if (state.range(1) != 0) {
+      violations.push_back(rng.bernoulli(0.5) ? 0.0 : rng.uniform());
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(moea::non_dominated_sort(points, violations));
+  }
+}
+BENCHMARK(BM_NonDominatedSort)
+    ->ArgsProduct({{100, 200, 1000}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Hypervolume(benchmark::State& state) {
   const std::size_t points = static_cast<std::size_t>(state.range(0));

@@ -35,25 +35,8 @@ DseOutcome run_single_layer(const DseMethodology& dse,
   util::Rng rng(options.seed);
   util::log_info() << "single-layer " << to_string(layer) << ": "
                    << dse.application().graph.num_tasks() << " tasks";
-  auto result = moea::run_nsga2(options.ga, problem.ops(options.ga.mutation_indpb), rng);
-
-  DseOutcome outcome;
-  outcome.evaluations = result.evaluations;
-  for (std::size_t i : result.front) {
-    if (result.population[i].eval.violation > 0.0) continue;  // infeasible
-    const moea::Objectives& obj = result.population[i].eval.objectives;
-    bool duplicate = false;
-    for (const moea::Objectives& seen : outcome.front) {
-      if (seen == obj) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    outcome.front.push_back(obj);
-    outcome.front_genomes.push_back(result.population[i].genome);
-  }
-  return outcome;
+  return DseMethodology::collect(moea::run_nsga2(
+      options.ga, problem.ops(options.ga.mutation_indpb), rng));
 }
 
 AgnosticOutcome run_agnostic(const DseMethodology& dse,
@@ -81,7 +64,8 @@ ResilienceBaselineOutcome run_resilience_baseline(const DseMethodology& dse,
   const ResilientProblem resilient = dse.build_resilient_problem(options);
   outcome.survivors.reserve(outcome.nominal.front_genomes.size());
   for (const MappingGenome& genome : outcome.nominal.front_genomes) {
-    const bool survives = resilient.evaluate(genome).violation <= 0.0;
+    const bool survives =
+        moea::is_feasible(resilient.evaluate(genome).violation);
     outcome.survivors.push_back(survives);
     outcome.survivor_count += survives;
   }

@@ -24,8 +24,7 @@ std::vector<TdseResult> DseMethodology::run_tdse(
   return tdse.run_application(app_, arch_, options.tdse_objectives);
 }
 
-DseOutcome DseMethodology::collect(const ClrMappingProblem& problem,
-                                   moea::Nsga2Result<MappingGenome> result) {
+DseOutcome DseMethodology::collect(moea::Nsga2Result<MappingGenome> result) {
   DseOutcome outcome;
   outcome.evaluations = result.evaluations;
   // The final population typically holds many copies of each front point;
@@ -33,7 +32,7 @@ DseOutcome DseMethodology::collect(const ClrMappingProblem& problem,
   // a design violating the QoS spec is not a solution of Eq. 5, even when
   // the run found nothing better.
   for (std::size_t i : result.front) {
-    if (result.population[i].eval.violation > 0.0) continue;
+    if (!moea::is_feasible(result.population[i].eval.violation)) continue;
     const moea::Objectives& obj = result.population[i].eval.objectives;
     bool duplicate = false;
     for (const moea::Objectives& seen : outcome.front) {
@@ -46,7 +45,6 @@ DseOutcome DseMethodology::collect(const ClrMappingProblem& problem,
     outcome.front.push_back(obj);
     outcome.front_genomes.push_back(std::move(result.population[i].genome));
   }
-  (void)problem;
   return outcome;
 }
 
@@ -88,7 +86,7 @@ DseOutcome DseMethodology::run_fcclr(const DseOptions& options,
   auto result = moea::run_island_nsga2(
       options.ga, options.island, problem.ops(options.ga.mutation_indpb), rng,
       std::move(seeds));
-  return collect(problem, std::move(result));
+  return collect(std::move(result));
 }
 
 DseOutcome DseMethodology::run_kresilient(const DseOptions& options) const {
@@ -109,7 +107,7 @@ DseOutcome DseMethodology::run_kresilient(
   auto result = moea::run_island_nsga2(
       options.ga, options.island, problem.ops(options.ga.mutation_indpb), rng,
       std::move(seeds));
-  return collect(problem.nominal(), std::move(result));
+  return collect(std::move(result));
 }
 
 DseOutcome DseMethodology::run_pfclr(const DseOptions& options) const {
@@ -129,7 +127,7 @@ DseOutcome DseMethodology::run_pfclr(const DseOptions& options,
                    << problem.layout().gene_count() << " genes";
   auto result = moea::run_island_nsga2(
       options.ga, options.island, problem.ops(options.ga.mutation_indpb), rng);
-  return collect(problem, std::move(result));
+  return collect(std::move(result));
 }
 
 DseOutcome DseMethodology::run_proposed(const DseOptions& options) const {
@@ -174,7 +172,7 @@ DseOutcome DseMethodology::run_proposed(const DseOptions& options,
                                        std::move(seeds));
   }
 
-  DseOutcome outcome = collect(fc, std::move(fc_result));
+  DseOutcome outcome = collect(std::move(fc_result));
   outcome.evaluations += pf_result.evaluations;
   return outcome;
 }

@@ -116,10 +116,11 @@ class DseMethodology {
       const DseOptions& options, const std::vector<TdseResult>& tdse) const;
   ResilientProblem build_resilient_problem(const DseOptions& options) const;
 
- private:
-  static DseOutcome collect(const ClrMappingProblem& problem,
-                            moea::Nsga2Result<MappingGenome> result);
+  /// A GA result's reported front: the feasible members of its first front
+  /// (moea::is_feasible), one per distinct objective vector, in front order.
+  static DseOutcome collect(moea::Nsga2Result<MappingGenome> result);
 
+ private:
   app::Application app_;
   platform::Architecture arch_;
   reliability::TaskAnalyzer analyzer_;

@@ -201,7 +201,7 @@ Nsga2Result<Genome> run_island_nsga2(const Nsga2Params& params,
       const auto& violations = engine.violations();
       for (std::size_t i = 0; i < points.size(); ++i) {
         if (points[i].size() < 2) return;  // single-objective: stay inactive
-        const bool feasible = violations[i] == 0.0;
+        const bool feasible = is_feasible(violations[i]);
         if (feasible && !seen_feasible) {
           seen_feasible = true;
           seen_any = false;  // restart the bounds over feasible points only
@@ -310,7 +310,7 @@ Nsga2Result<Genome> run_island_nsga2(const Nsga2Params& params,
         front_size = fronts.front().size();
         for (std::size_t i : fronts.front()) {
           rank[i] = 0;
-          if (violations[i] == 0.0) snapshot.push_back(points[i]);
+          if (is_feasible(violations[i])) snapshot.push_back(points[i]);
         }
       }
       params.on_generation(GenerationProgress{
@@ -350,7 +350,7 @@ Nsga2Result<Genome> run_island_nsga2(const Nsga2Params& params,
     std::vector<Objectives> snapshot;
     for (std::size_t i : merged.front) {
       rank[i] = 0;
-      if (violations[i] == 0.0) snapshot.push_back(points[i]);
+      if (is_feasible(violations[i])) snapshot.push_back(points[i]);
     }
     params.on_generation(GenerationProgress{
         params.generations, params.generations, merged.evaluations,

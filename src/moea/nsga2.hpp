@@ -188,7 +188,7 @@ void update_archive(std::vector<EvaluatedGenome<Genome>>& archive,
   pool.reserve(archive.size() + candidates.size());
   for (const auto& member : archive) pool.push_back(&member);
   for (const auto& candidate : candidates) {
-    if (candidate.eval.violation > 0.0) continue;
+    if (!is_feasible(candidate.eval.violation)) continue;
     pool.push_back(&candidate);
   }
   std::vector<char> keep(pool.size(), 1);
@@ -316,7 +316,7 @@ inline double front_bbox_volume(const std::vector<Objectives>& points,
   Objectives lo;
   Objectives hi;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (rank[i] != 0 || violations[i] > 0.0) continue;
+    if (rank[i] != 0 || !is_feasible(violations[i])) continue;
     if (members == 0) {
       lo = points[i];
       hi = points[i];
@@ -447,7 +447,7 @@ class Nsga2Engine {
       if (params_.on_generation) {
         std::vector<Objectives> snapshot;
         for (std::size_t i = 0; i < points_.size(); ++i) {
-          if (rc.rank[i] == 0 && violations_[i] == 0.0) {
+          if (rc.rank[i] == 0 && is_feasible(violations_[i])) {
             snapshot.push_back(points_[i]);
           }
         }
@@ -561,7 +561,7 @@ class Nsga2Engine {
       for (std::size_t i : result_.front) rank[i] = 0;
       std::vector<Objectives> snapshot;
       for (std::size_t i : result_.front) {
-        if (violations_[i] == 0.0) snapshot.push_back(points_[i]);
+        if (is_feasible(violations_[i])) snapshot.push_back(points_[i]);
       }
       params_.on_generation(GenerationProgress{
           params_.generations, params_.generations, result_.evaluations,

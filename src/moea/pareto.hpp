@@ -12,6 +12,12 @@ namespace clrearly::moea {
 
 using Objectives = std::vector<double>;
 
+/// The one feasibility predicate: a total constraint violation of at most
+/// zero. A NaN violation is infeasible.
+constexpr bool is_feasible(double violation) noexcept {
+  return violation <= 0.0;
+}
+
 /// True when `a` weakly dominates `b` and is strictly better in at least one
 /// objective. Vectors must be the same length.
 bool dominates(const Objectives& a, const Objectives& b);
@@ -31,7 +37,11 @@ std::vector<Objectives> pareto_filter(const std::vector<Objectives>& points);
 
 /// Fast non-dominated sorting (NSGA-II): returns fronts of indices, best
 /// first. `violations` is optional (empty = unconstrained); when provided it
-/// must parallel `points` and constrained dominance is used.
+/// must parallel `points` and constrained dominance is used. With two or
+/// more points, every objective vector must be non-empty and of one length.
+/// The dominance relation is an n x n bit matrix built from one sorted sweep
+/// per objective: O(m n log n) comparisons plus O(m n^2 / 64) word
+/// operations.
 std::vector<std::vector<std::size_t>> non_dominated_sort(
     const std::vector<Objectives>& points,
     const std::vector<double>& violations = {});

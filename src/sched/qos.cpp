@@ -9,14 +9,17 @@ namespace clrearly::sched {
 
 namespace {
 
-/// Relative overshoot of `value` past an upper limit (0 when within).
+/// Relative overshoot of `value` past an upper limit (0 when within). A
+/// NaN value satisfies no limit: it is the worst violation, +infinity.
 double over(double value, double limit) {
+  if (std::isnan(value)) return std::numeric_limits<double>::infinity();
   if (limit <= 0.0) return value > 0.0 ? 1.0 : 0.0;
   return std::max(0.0, (value - limit) / limit);
 }
 
-/// Relative shortfall of `value` below a lower limit.
+/// Relative shortfall of `value` below a lower limit; NaN as in over().
 double under(double value, double limit) {
+  if (std::isnan(value)) return std::numeric_limits<double>::infinity();
   if (limit <= 0.0) return 0.0;
   return std::max(0.0, (limit - value) / limit);
 }

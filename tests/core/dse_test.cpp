@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "app/characterizer.hpp"
 #include "app/sobel.hpp"
 #include "core/baselines.hpp"
@@ -91,6 +93,24 @@ TEST_F(DseFixture, FrontHasNoDuplicateObjectiveVectors) {
       EXPECT_NE(outcome.front[i], outcome.front[j]);
     }
   }
+}
+
+TEST(DseCollectTest, NanViolationsAreNotReportedAsFeasible) {
+  moea::Nsga2Result<MappingGenome> result;
+  result.evaluations = 3;
+  for (double x : {1.0, 2.0, 3.0}) {
+    result.population.push_back(
+        {MappingGenome{}, moea::Evaluation{{x, 4.0 - x}, std::nan("")}});
+  }
+  result.front = {0, 1, 2};
+  const DseOutcome outcome = DseMethodology::collect(result);
+  EXPECT_TRUE(outcome.front.empty());
+  EXPECT_TRUE(outcome.front_genomes.empty());
+  EXPECT_EQ(outcome.evaluations, 3u);
+
+  // The same members with zero violation are all reported.
+  for (auto& member : result.population) member.eval.violation = 0.0;
+  EXPECT_EQ(DseMethodology::collect(result).front.size(), 3u);
 }
 
 TEST_F(DseFixture, ProposedAtLeastMatchesPfclrHypervolume) {

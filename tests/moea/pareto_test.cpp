@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -135,6 +139,147 @@ TEST(NonDominatedSortTest, FrontRanksAreConsistentWithDominance) {
       }
     }
   }
+}
+
+// --- Differential test of the bit-matrix kernel ------------------------------
+
+// The per-pair, per-point-list sort the bit-matrix kernel replaced, kept
+// as its oracle: constrained_dominates()/dominates() on every unordered
+// pair, dominated points pushed onto heap lists in ascending index order.
+std::vector<std::vector<std::size_t>> pair_loop_sort(
+    const std::vector<Objectives>& points,
+    const std::vector<double>& violations) {
+  const std::size_t n = points.size();
+  const bool constrained = !violations.empty();
+  auto dom = [&](std::size_t i, std::size_t j) {
+    return constrained
+               ? constrained_dominates(points[i], violations[i], points[j],
+                                       violations[j])
+               : dominates(points[i], points[j]);
+  };
+  std::vector<std::vector<std::size_t>> dominated_by(n);
+  std::vector<std::size_t> domination_count(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (dom(i, j)) {
+        dominated_by[i].push_back(j);
+        ++domination_count[j];
+      } else if (dom(j, i)) {
+        dominated_by[j].push_back(i);
+        ++domination_count[i];
+      }
+    }
+  }
+  std::vector<std::vector<std::size_t>> fronts;
+  std::vector<std::size_t> current;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (domination_count[i] == 0) current.push_back(i);
+  }
+  while (!current.empty()) {
+    fronts.push_back(current);
+    std::vector<std::size_t> next;
+    for (std::size_t i : current) {
+      for (std::size_t j : dominated_by[i]) {
+        if (--domination_count[j] == 0) next.push_back(j);
+      }
+    }
+    current = std::move(next);
+  }
+  return fronts;
+}
+
+struct Population {
+  std::vector<Objectives> points;
+  std::vector<double> violations;  ///< empty = unconstrained
+};
+
+// Objectives on a coarse grid (ties on single objectives are common), with
+// duplicated members, occasional NaN objectives and — when constrained —
+// infeasible members sharing a few violation levels, some of them NaN.
+Population random_population(util::Rng& rng, std::size_t n, std::size_t m,
+                             bool constrained) {
+  Population pop;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.bernoulli(0.15)) {
+      pop.points.push_back(pop.points[rng.index(i)]);
+      continue;
+    }
+    Objectives p(m);
+    for (double& x : p) {
+      x = rng.bernoulli(0.03) ? std::nan("")
+                              : std::floor(rng.uniform(0.0, 6.0));
+    }
+    pop.points.push_back(p);
+  }
+  if (constrained) {
+    const double levels[] = {0.0, 0.0, 0.0, 0.25, 0.5, 0.5, std::nan("")};
+    for (std::size_t i = 0; i < n; ++i) {
+      pop.violations.push_back(levels[rng.index(std::size(levels))]);
+    }
+  }
+  return pop;
+}
+
+TEST(NonDominatedSortTest, MatchesPairLoopOracleAcrossWordBoundaries) {
+  util::Rng rng(13);
+  for (std::size_t n : {0u, 1u, 2u, 63u, 64u, 65u, 127u, 128u, 129u, 200u,
+                        300u}) {
+    for (std::size_t m = 1; m <= 4; ++m) {
+      for (bool constrained : {false, true}) {
+        const Population pop = random_population(rng, n, m, constrained);
+        EXPECT_EQ(non_dominated_sort(pop.points, pop.violations),
+                  pair_loop_sort(pop.points, pop.violations))
+            << "n=" << n << " m=" << m << " constrained=" << constrained;
+      }
+    }
+  }
+}
+
+TEST(NonDominatedSortTest, MatchesPairLoopOracleOnDegeneratePopulations) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Population> cases{
+      // All duplicates: one front holding everyone.
+      {std::vector<Objectives>(70, Objectives{1.0, 2.0}), {}},
+      // Ties on the first objective only.
+      {{{1.0, 3.0}, {1.0, 2.0}, {1.0, 1.0}, {2.0, 0.5}, {1.0, 2.0}}, {}},
+      // NaN objectives are incomparable in the NaN coordinate.
+      {{{nan, 1.0}, {0.0, 2.0}, {nan, nan}, {1.0, 0.0}, {0.0, 2.0}}, {}},
+      // Signed zeros tie; infinities order like any other value.
+      {{{-0.0, 1.0}, {0.0, 1.0}, {-inf, inf}, {inf, -inf}, {0.0, 0.5}}, {}},
+      // Every member infeasible with one shared violation.
+      {{{1.0, 1.0}, {2.0, 2.0}, {0.5, 3.0}}, {0.5, 0.5, 0.5}},
+      // Infeasible levels interleaved with feasible members and NaN.
+      {{{1.0, 1.0}, {2.0, 2.0}, {0.5, 3.0}, {3.0, 0.5}, {0.0, 0.0}},
+       {0.5, 0.0, nan, 0.25, 0.5}},
+      // All NaN violations: nobody dominates anybody.
+      {{{1.0, 1.0}, {2.0, 2.0}, {3.0, 3.0}}, {nan, nan, nan}},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    EXPECT_EQ(non_dominated_sort(cases[c].points, cases[c].violations),
+              pair_loop_sort(cases[c].points, cases[c].violations))
+        << "case " << c;
+  }
+}
+
+TEST(NonDominatedSortTest, MismatchedObjectiveVectorsThrowUpFront) {
+  EXPECT_THROW(non_dominated_sort({{1.0, 2.0}, {1.0}}), std::invalid_argument);
+  EXPECT_THROW(non_dominated_sort({{}, {}}), std::invalid_argument);
+  // Checked before any comparison, even where constrained dominance would
+  // never look at the objectives (feasible vs infeasible).
+  EXPECT_THROW(non_dominated_sort({{1.0, 2.0}, {1.0}}, {0.0, 1.0}),
+               std::invalid_argument);
+  // A single point is never compared, so its shape is not checked.
+  EXPECT_EQ(non_dominated_sort({{}}),
+            (std::vector<std::vector<std::size_t>>{{0}}));
+}
+
+TEST(IsFeasibleTest, ZeroAndNegativeAreFeasibleNanIsNot) {
+  EXPECT_TRUE(is_feasible(0.0));
+  EXPECT_TRUE(is_feasible(-0.0));
+  EXPECT_TRUE(is_feasible(-1.0));
+  EXPECT_FALSE(is_feasible(1e-300));
+  EXPECT_FALSE(is_feasible(std::nan("")));
 }
 
 TEST(CrowdingDistanceTest, BoundariesAreInfinite) {

@@ -244,6 +244,27 @@ TEST(QosSpecTest, ViolationsAccumulateAcrossConstraints) {
   EXPECT_NEAR(spec.violation(sample_metrics()), 2.0, 1e-12);
 }
 
+TEST(QosSpecTest, NanMetricViolatesItsLimit) {
+  QosSpec spec;
+  spec.max_makespan_us = 2000.0;
+  spec.min_functional_rel = 0.9;
+  spec.max_energy_uj = 1000.0;
+  ASSERT_TRUE(spec.feasible(sample_metrics()));
+
+  QosMetrics makespan = sample_metrics();
+  makespan.makespan_us = std::nan("");
+  QosMetrics reliability = sample_metrics();
+  reliability.functional_rel = std::nan("");
+  QosMetrics energy = sample_metrics();
+  energy.energy_uj = std::nan("");
+  for (const QosMetrics& m : {makespan, reliability, energy}) {
+    EXPECT_FALSE(spec.feasible(m));
+    EXPECT_GT(spec.violation(m), 0.0);
+  }
+  // A NaN metric without a limit on it is not checked.
+  EXPECT_TRUE(QosSpec{}.feasible(makespan));
+}
+
 TEST(QosSpecTest, AllSatisfiedGivesZero) {
   QosSpec spec;
   spec.max_makespan_us = 2000.0;
