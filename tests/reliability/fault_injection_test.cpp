@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 
 namespace clrearly::reliability {
@@ -73,6 +74,11 @@ struct InjectionCase {
   std::size_t intervals;
   double chk_err;
 };
+
+// ctest names embed the printed parameter. gtest's default byte dump would
+// include the label pointer, which address-space randomisation changes from
+// run to run, so print the label instead to keep the names stable.
+void PrintTo(const InjectionCase& c, std::ostream* os) { *os << c.label; }
 
 class InjectionAgreementTest
     : public ::testing::TestWithParam<InjectionCase> {};
