@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the analytical kernels behind the
-// "early-stage exploration" claim: one CLR Markov-chain evaluation, one full
+// "early-stage exploration" claim: a batch of CLR Markov-chain solves, one full
 // task-metric evaluation, list scheduling, QoS estimation, a whole NSGA-II
 // generation and its non-dominated sort, hypervolume computation and
 // task-graph generation.
@@ -8,6 +8,7 @@
 // which is what makes the multi-stage GA flows tractable on a laptop.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "moea/pareto.hpp"
 #include "platform/architecture.hpp"
 #include "reliability/clr_chain_builder.hpp"
+#include "util/cpu_features.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -30,20 +32,33 @@ namespace {
 using namespace clrearly;
 
 void BM_MarkovClrChainAnalyze(benchmark::State& state) {
-  reliability::ClrChainParams params;
-  params.exec_time_us = 1000.0;
-  params.lambda_per_us = 3e-4;
-  params.hw_masking = 0.7;
-  params.detection_coverage = 0.92;
-  params.tolerance_success = 0.98;
-  params.asw_masking = 0.6;
-  params.intervals = static_cast<std::size_t>(state.range(0));
-  params.detection_time_us = 10.0;
-  params.tolerance_time_us = 20.0;
-  params.checkpoint_time_us = 30.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reliability::analyze_clr_chain(params));
+  // A batch of distinct chains through the uncached driver: every iteration
+  // times assembly and the row-0 solves, never a chain-cache hit. The label
+  // names the dispatch level, so runs under CLREARLY_SIMD=scalar|avx2 report
+  // the kernel per level.
+  constexpr std::size_t kChains = 64;
+  std::vector<reliability::ClrChainParams> batch(kChains);
+  for (std::size_t i = 0; i < kChains; ++i) {
+    reliability::ClrChainParams& params = batch[i];
+    params.exec_time_us = 1000.0 + 0.01 * static_cast<double>(i);
+    params.lambda_per_us = 3e-4;
+    params.hw_masking = 0.7;
+    params.detection_coverage = 0.92;
+    params.tolerance_success = 0.98;
+    params.asw_masking = 0.6;
+    params.intervals = static_cast<std::size_t>(state.range(0));
+    params.detection_time_us = 10.0;
+    params.tolerance_time_us = 20.0;
+    params.checkpoint_time_us = 30.0;
   }
+  const reliability::ChainBatchOptions uncached{.use_cache = false};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        reliability::analyze_clr_chain_batch(batch, uncached));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kChains));
+  state.SetLabel(util::to_string(util::active_simd_level()));
 }
 BENCHMARK(BM_MarkovClrChainAnalyze)->Arg(1)->Arg(2)->Arg(4);
 

@@ -18,6 +18,7 @@
 
 #include "app/sobel.hpp"
 #include "core/scenario.hpp"
+#include "moea/island.hpp"
 #include "platform/architecture.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
@@ -36,7 +37,8 @@ core::MappingGenome optimize_single(const core::ClrMappingProblem& problem,
   ga.population_size = 60;
   ga.generations = 40;
   util::Rng rng(seed);
-  const auto result = moea::run_nsga2(ga, problem.ops(), rng);
+  const auto result =
+      moea::run_island_nsga2(ga, moea::IslandParams{}, problem.ops(), rng);
   const core::MappingGenome* best = nullptr;
   double best_makespan = 0.0;
   for (std::size_t i : result.front) {
@@ -86,7 +88,8 @@ int main(int argc, char** argv) {
   ga.population_size = 60;
   ga.generations = 40;
   util::Rng rng(13);
-  const auto robust_run = moea::run_nsga2(ga, robust_problem.ops(), rng);
+  const auto robust_run = moea::run_island_nsga2(ga, moea::IslandParams{},
+                                                 robust_problem.ops(), rng);
   const core::MappingGenome* robust_design = nullptr;
   double robust_makespan = 0.0;
   for (std::size_t i : robust_run.front) {

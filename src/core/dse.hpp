@@ -22,7 +22,7 @@ namespace clrearly::core {
 struct DseOptions {
   moea::Nsga2Params ga;               ///< population/generations/operator rates
   /// Island-model sharding of the GA population (docs/SCALING.md). The
-  /// default single island follows the exact historical run_nsga2 path, so
+  /// default single island is the plain single-population NSGA-II, so
   /// existing results are bit-identical.
   moea::IslandParams island;
   SystemObjectives objectives;        ///< system-level metrics to minimize

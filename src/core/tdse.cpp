@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "moea/island.hpp"
 #include "moea/operators.hpp"
 #include "moea/pareto.hpp"
 #include "util/thread_pool.hpp"
@@ -256,7 +257,7 @@ TdseResult Tdse::run_stochastic(
   };
 
   util::Rng rng(seed);
-  (void)moea::run_nsga2(ga, ops, rng);
+  (void)moea::run_island_nsga2(ga, moea::IslandParams{}, ops, rng);
 
   TdseResult result;
   result.enumerated.reserve(visited.size());

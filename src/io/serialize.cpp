@@ -27,6 +27,22 @@ platform::PeClass class_from_tag(const std::string& tag) {
   throw std::runtime_error("serialize: unknown PE class '" + tag + "'");
 }
 
+/// Every integer the model and wire formats carry goes through the one
+/// checked conversion (JsonValue::as_uint64); this names the field in the
+/// error.
+std::uint64_t as_uint64(const JsonValue& value, const char* what) {
+  try {
+    return value.as_uint64();
+  } catch (const std::runtime_error&) {
+    throw std::runtime_error(std::string("serialize: ") + what +
+                             " must be a non-negative integer");
+  }
+}
+
+std::size_t as_index(const JsonValue& value, const char* what) {
+  return static_cast<std::size_t>(as_uint64(value, what));
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("serialize: cannot open " + path);
@@ -103,7 +119,7 @@ platform::Architecture architecture_from_json(const JsonValue& json) {
     arch.add_type(std::move(type));
   }
   for (const JsonValue& pe : json.at("pes").as_array()) {
-    arch.add_pe(static_cast<std::size_t>(pe.as_number()));
+    arch.add_pe(as_index(pe, "pes[]"));
   }
   if (const JsonValue* icn = json.find("interconnect")) {
     platform::Interconnect interconnect;
@@ -156,15 +172,14 @@ app::Application application_from_json(const JsonValue& json) {
   application.name = json.at("name").as_string();
   application.period_us = json.at("period_us").as_number();
   for (const JsonValue& t : json.at("tasks").as_array()) {
-    application.graph.add_task(
-        static_cast<std::size_t>(t.at("type").as_number()),
-        t.at("name").as_string(), t.number_or("criticality", 1.0));
+    application.graph.add_task(as_index(t.at("type"), "tasks[].type"),
+                               t.at("name").as_string(),
+                               t.number_or("criticality", 1.0));
   }
   for (const JsonValue& e : json.at("edges").as_array()) {
-    application.graph.add_edge(
-        static_cast<std::size_t>(e.at("src").as_number()),
-        static_cast<std::size_t>(e.at("dst").as_number()),
-        e.number_or("data_kb", 0.0));
+    application.graph.add_edge(as_index(e.at("src"), "edges[].src"),
+                               as_index(e.at("dst"), "edges[].dst"),
+                               e.number_or("data_kb", 0.0));
   }
   for (const JsonValue& type_impls : json.at("impls").as_array()) {
     std::vector<reliability::BaseImpl> list;
@@ -229,16 +244,6 @@ platform::Architecture resolve_architecture(const std::string& spec) {
 // ------------------------------------------------------------- wire format
 
 namespace {
-
-std::uint64_t as_uint64(const JsonValue& value, const char* what) {
-  const double number = value.as_number();
-  if (number < 0.0 ||
-      number != static_cast<double>(static_cast<std::uint64_t>(number))) {
-    throw std::runtime_error(std::string("serialize: ") + what +
-                             " must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(number);
-}
 
 void set_optional(JsonObject& object, const char* key,
                   const std::optional<double>& value) {
@@ -327,12 +332,10 @@ moea::Nsga2Params nsga2_params_from_json(const JsonValue& json) {
                       "ga");
   moea::Nsga2Params params;
   if (const JsonValue* v = json.find("population_size")) {
-    params.population_size = static_cast<std::size_t>(
-        as_uint64(*v, "ga.population_size"));
+    params.population_size = as_index(*v, "ga.population_size");
   }
   if (const JsonValue* v = json.find("generations")) {
-    params.generations = static_cast<std::size_t>(
-        as_uint64(*v, "ga.generations"));
+    params.generations = as_index(*v, "ga.generations");
   }
   params.crossover_prob = json.number_or("crossover_prob",
                                          params.crossover_prob);
@@ -340,12 +343,10 @@ moea::Nsga2Params nsga2_params_from_json(const JsonValue& json) {
   params.mutation_indpb = json.number_or("mutation_indpb",
                                          params.mutation_indpb);
   if (const JsonValue* v = json.find("tournament_k")) {
-    params.tournament_k = static_cast<std::size_t>(
-        as_uint64(*v, "ga.tournament_k"));
+    params.tournament_k = as_index(*v, "ga.tournament_k");
   }
   if (const JsonValue* v = json.find("archive_size")) {
-    params.archive_size = static_cast<std::size_t>(
-        as_uint64(*v, "ga.archive_size"));
+    params.archive_size = as_index(*v, "ga.archive_size");
   }
   params.validate();
   return params;
@@ -436,15 +437,13 @@ core::ResilienceSpec resilience_spec_from_json(const JsonValue& json) {
                       "resilience");
   core::ResilienceSpec resilience;
   if (const JsonValue* k = json.find("max_failures")) {
-    resilience.max_failures =
-        static_cast<std::size_t>(as_uint64(*k, "max_failures"));
+    resilience.max_failures = as_index(*k, "max_failures");
   }
   resilience.mission_hours =
       json.number_or("mission_hours", resilience.mission_hours);
   if (const JsonValue* spares = json.find("spare_pes")) {
     for (const JsonValue& pe : spares->as_array()) {
-      resilience.spare_pes.push_back(
-          static_cast<std::size_t>(as_uint64(pe, "spare_pes")));
+      resilience.spare_pes.push_back(as_index(pe, "spare_pes"));
     }
   }
   resilience.spare_penalty_weight = json.number_or(
@@ -468,15 +467,13 @@ moea::IslandParams island_params_from_json(const JsonValue& json) {
                       "islands");
   moea::IslandParams island;
   if (const JsonValue* count = json.find("count")) {
-    island.islands = static_cast<std::size_t>(as_uint64(*count, "count"));
+    island.islands = as_index(*count, "count");
   }
   if (const JsonValue* interval = json.find("migration_interval")) {
-    island.migration_interval =
-        static_cast<std::size_t>(as_uint64(*interval, "migration_interval"));
+    island.migration_interval = as_index(*interval, "migration_interval");
   }
   if (const JsonValue* size = json.find("migration_size")) {
-    island.migration_size =
-        static_cast<std::size_t>(as_uint64(*size, "migration_size"));
+    island.migration_size = as_index(*size, "migration_size");
   }
   try {
     island.validate();
@@ -572,14 +569,17 @@ JobSpec job_spec_from_json(const JsonValue& json) {
                        "application", "architecture"},
                       "job");
   JobSpec spec;
-  spec.format_version =
-      static_cast<int>(as_uint64(json.at("format_version"), "format_version"));
-  if (spec.format_version != kWireFormatVersion) {
+  // Compared as the parsed integer: narrowing first would let 2^32 + 1
+  // pass as version 1.
+  const std::uint64_t format_version =
+      as_uint64(json.at("format_version"), "format_version");
+  if (format_version != kWireFormatVersion) {
     throw std::runtime_error(
         "serialize: unsupported job format_version " +
-        std::to_string(spec.format_version) + " (this build speaks v" +
+        std::to_string(format_version) + " (this build speaks v" +
         std::to_string(kWireFormatVersion) + ")");
   }
+  spec.format_version = kWireFormatVersion;
   if (const JsonValue* name = json.find("name")) {
     spec.name = name->as_string();
   }
@@ -596,7 +596,7 @@ JobSpec job_spec_from_json(const JsonValue& json) {
     spec.seed = as_uint64(*seed, "seed");
   }
   if (const JsonValue* threads = json.find("threads")) {
-    spec.threads = static_cast<std::size_t>(as_uint64(*threads, "threads"));
+    spec.threads = as_index(*threads, "threads");
   }
   if (const JsonValue* heuristic = json.find("heuristic_seed")) {
     spec.heuristic_seed = heuristic->as_bool();
@@ -647,14 +647,6 @@ JobSpec job_spec_from_json(const JsonValue& json) {
                              e.what());
   }
   return spec;
-}
-
-void save_job_spec(const std::string& path, const JobSpec& spec) {
-  write_file(path, util::json_serialize(to_json(spec)));
-}
-
-JobSpec load_job_spec(const std::string& path) {
-  return job_spec_from_json(util::json_parse(read_file(path)));
 }
 
 }  // namespace clrearly::io

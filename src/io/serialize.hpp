@@ -150,7 +150,4 @@ util::JsonValue to_json(const JobSpec& spec);
 /// fields (via the strict JsonValue accessors).
 JobSpec job_spec_from_json(const util::JsonValue& json);
 
-void save_job_spec(const std::string& path, const JobSpec& spec);
-JobSpec load_job_spec(const std::string& path);
-
 }  // namespace clrearly::io

@@ -12,9 +12,10 @@
 // order, pivot selection, tie-breaking, the skip-on-zero selects) does not
 // depend on W or on the instruction set, so every lane's results are
 // bit-identical to the width-1 portable solve of the same chain — at every
-// lane width and on every dispatch path (pinned by chain_batch_test and the
-// bench_chain_kernel divergence gate). This is the only production chain
-// solver; markov::AbsorbingChain is its eager full-inverse reference.
+// lane width and on every dispatch path (pinned by chain_batch_test, which
+// CI also runs with the dispatch forced to scalar and to AVX2). This is the
+// only production chain solver; markov::AbsorbingChain is its eager
+// full-inverse reference.
 //
 // Dispatch: the kernel body is a width-templated header
 // (chain_batch_kernel.hpp) instantiated in three translation units — a

@@ -8,8 +8,10 @@
 // order with one global non-dominated sort. Because each island's variation
 // is serial on its own stream, evaluation is pure, and migration/merge are
 // serial and index-ordered, the outcome is bit-identical at any thread
-// count and across repeated runs — the same contract run_nsga2 carries.
-// docs/SCALING.md describes the topology and the determinism argument.
+// count and across repeated runs — the same contract a single Nsga2Engine
+// carries. With one island this is the plain single-population NSGA-II, so
+// run_island_nsga2 is the library's only GA driver. docs/SCALING.md
+// describes the topology and the determinism argument.
 #pragma once
 
 #include <algorithm>
@@ -33,7 +35,7 @@ namespace clrearly::moea {
 
 /// Island-model knobs (the --islands/--migration-interval/--migration-size
 /// CLI options and the wire format's `islands` sub-object). islands == 1
-/// degrades to the plain single-population run_nsga2 path bit for bit.
+/// is the plain single-population NSGA-II: one engine, run to the end.
 struct IslandParams {
   std::size_t islands = 1;             ///< sub-population count
   std::size_t migration_interval = 10; ///< generations between migrations
@@ -84,11 +86,12 @@ inline std::vector<std::size_t> island_shares(std::size_t population_size,
 /// one mutation from its own stream, so all islands start near the seeds
 /// without collapsing onto identical populations.
 ///
-/// params.on_generation fires once per migration epoch (and once more after
-/// the final merge with generation == generations) with aggregated union
-/// front statistics; throwing from it cancels the run, so cooperative
-/// cancellation has epoch granularity here instead of run_nsga2's
-/// per-generation granularity.
+/// With one island, params.on_generation fires once per generation (and
+/// once more after the last). With several it fires once per migration
+/// epoch (and once more after the final merge with generation ==
+/// generations) with aggregated union front statistics. Throwing from it
+/// cancels the run, so cooperative cancellation has per-generation
+/// granularity on one island and epoch granularity on several.
 ///
 /// The total evaluation budget is identical to a single-population run of
 /// the same params: population_size logical evaluations per generation plus
@@ -102,7 +105,10 @@ Nsga2Result<Genome> run_island_nsga2(const Nsga2Params& params,
                                      std::vector<Genome> seeds = {}) {
   island.validate();
   if (island.islands <= 1) {
-    return run_nsga2(params, ops, rng, std::move(seeds));
+    // One population: the engine fires the per-generation hook itself.
+    Nsga2Engine<Genome> engine(params, ops, rng, std::move(seeds));
+    while (!engine.done()) engine.advance();
+    return engine.finish();
   }
   params.validate();
   const std::size_t n = island.islands;

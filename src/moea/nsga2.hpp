@@ -7,7 +7,7 @@
 // for the QoS limits of Eq. 5. Problem specifics (the Fig. 5 encoding) enter
 // exclusively through the Nsga2Ops callbacks, and directed seeding — the
 // backbone of the proposed pfCLR -> fcCLR flow — through the `seeds`
-// argument of run_nsga2.
+// argument of run_island_nsga2 (moea/island.hpp), the one driver.
 #pragma once
 
 #include <algorithm>
@@ -56,8 +56,8 @@ struct GenerationProgress {
 /// Progress observer. Must not touch the RNG or mutate search state — the
 /// hook is a pure observer, so hooked and unhooked runs are bit-identical.
 /// Throwing from the hook aborts the run (the exception propagates out of
-/// run_nsga2) — this is the sanctioned early-termination/cancellation path
-/// for long-running jobs.
+/// run_island_nsga2) — this is the sanctioned early-termination/cancellation
+/// path for long-running jobs.
 using ProgressHook = std::function<void(const GenerationProgress&)>;
 
 struct Nsga2Params {
@@ -337,10 +337,10 @@ inline double front_bbox_volume(const std::vector<Objectives>& points,
 }  // namespace detail
 
 /// Steppable NSGA-II: one engine = one population evolving generation by
-/// generation. run_nsga2 below is a thin wrapper (construct, advance to the
-/// end, finish) and stays bit-identical to the historical one-shot loop; the
-/// island model (moea/island.hpp) drives several engines side by side and
-/// exchanges individuals between generations through emigrants()/immigrate().
+/// generation. run_island_nsga2 (moea/island.hpp) is the one driver: with a
+/// single island it constructs one engine, advances it to the end and
+/// finishes it; with several it drives engines side by side and exchanges
+/// individuals between generations through emigrants()/immigrate().
 ///
 /// Every generation is two phases: a serial *variation* phase (selection,
 /// crossover, mutation — the only RNG consumers, drawn in the exact order
@@ -361,7 +361,8 @@ class Nsga2Engine {
       : params_(params), ops_(ops), rng_(rng) {
     params_.validate();
     if (!ops.create || !ops.crossover || !ops.mutate || !ops.evaluate) {
-      throw std::invalid_argument("run_nsga2: all ops callbacks are required");
+      throw std::invalid_argument(
+          "Nsga2Engine: all ops callbacks are required");
     }
 
     result_.population.reserve(params_.population_size * 2);
@@ -401,8 +402,8 @@ class Nsga2Engine {
   /// effort concentrates inside the region. The *true* violation still
   /// decides emigrants, archives and the final front — the bias redirects
   /// effort, it never fabricates or hides (in)feasibility in anything the
-  /// engine reports. Null (the default, and the only mode run_nsga2 uses)
-  /// keeps ranking bit-identical to the historical path.
+  /// engine reports. Null (the default, and the only mode a single-island
+  /// run uses) keeps ranking bit-identical to the historical path.
   void set_region_bias(std::function<double(const Objectives&)> bias) {
     region_bias_ = std::move(bias);
   }
@@ -632,16 +633,5 @@ class Nsga2Engine {
   std::vector<Objectives> next_points_;
   std::vector<double> next_violations_;
 };
-
-/// Run NSGA-II start to finish over a single population. See Nsga2Engine
-/// for the phase structure and the determinism contract.
-template <typename Genome>
-Nsga2Result<Genome> run_nsga2(const Nsga2Params& params,
-                              const Nsga2Ops<Genome>& ops, util::Rng& rng,
-                              std::vector<Genome> seeds = {}) {
-  Nsga2Engine<Genome> engine(params, ops, rng, std::move(seeds));
-  while (!engine.done()) engine.advance();
-  return engine.finish();
-}
 
 }  // namespace clrearly::moea

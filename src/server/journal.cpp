@@ -119,8 +119,9 @@ std::vector<JournalEntry> JobJournal::replay(const std::string& path,
       break;
     }
     try {
-      const double version = record.number_or("v", 0.0);
-      if (static_cast<int>(version) != kJournalRecordVersion) {
+      const util::JsonValue* v = record.find("v");
+      const std::uint64_t version = v != nullptr ? v->as_uint64() : 0;
+      if (version != kJournalRecordVersion) {
         ++out.skipped_version;
         util::log_warn() << "journal: skipping record with unknown version "
                          << version;
@@ -131,7 +132,7 @@ std::vector<JournalEntry> JobJournal::replay(const std::string& path,
         JournalEntry entry;
         entry.id = record.at("id").as_string();
         entry.spec = io::job_spec_from_json(record.at("spec"));
-        entry.seq = static_cast<std::uint64_t>(record.at("seq").as_number());
+        entry.seq = record.at("seq").as_uint64();
         if (const util::JsonValue* priority = record.find("priority")) {
           entry.priority = priority_from_string(priority->as_string());
         }

@@ -249,7 +249,6 @@ HttpResponse DseService::submit(const HttpRequest& request) {
                 static_cast<unsigned long long>(
                     next_id_.fetch_add(1) + 1));
   auto job = std::make_shared<JobRecord>(id_buf, std::move(spec), priority);
-  spool_spec(*job);
   const std::optional<std::size_t> position = queue_.submit(job);
   if (!position.has_value()) {
     HttpResponse response = HttpResponse::json(
@@ -439,24 +438,17 @@ HttpResponse DseService::metrics() const {
       200, body_of(util::JsonValue(util::metrics_snapshot())));
 }
 
-void DseService::spool_spec(const JobRecord& job) const {
-  if (options_.spool_dir.empty()) return;
-  try {
-    io::save_job_spec(options_.spool_dir + "/" + job.id() + ".spec.json",
-                      job.spec());
-  } catch (const std::exception& e) {
-    util::log_warn() << "serve: spooling spec of " << job.id()
-                     << " failed: " << e.what();
-  }
-}
-
 void DseService::spool_result(const JobRecord& job) const {
   if (options_.spool_dir.empty()) return;
   const std::string path =
       options_.spool_dir + "/" + job.id() + ".result.json";
   try {
+    // The GET /result body plus the resolved spec: a finished job replays
+    // offline from this one file once the journal has compacted it away.
+    util::JsonValue result = job.result_json();
+    result.as_object().emplace("spec", io::to_json(job.spec()));
     std::ofstream out(path);
-    out << util::json_serialize(job.result_json()) << '\n';
+    out << util::json_serialize(result) << '\n';
   } catch (const std::exception& e) {
     util::log_warn() << "serve: spooling result of " << job.id()
                      << " failed: " << e.what();

@@ -48,10 +48,10 @@ struct ServiceOptions {
   std::size_t workers = 2;       ///< concurrent DSE jobs
   std::size_t queue_depth = 16;  ///< max *waiting* jobs before 429
   std::size_t max_sessions = 8;  ///< model sessions kept warm (LRU)
-  /// When non-empty: every accepted job's spec is written to
-  /// <spool>/<id>.spec.json on admission and its result to
-  /// <id>.result.json on completion, so any run can be replayed offline.
-  /// Also enables the crash-safe job journal at <spool>/journal.jsonl.
+  /// When non-empty: enables the crash-safe job journal at
+  /// <spool>/journal.jsonl, which holds every live job's resolved spec, and
+  /// writes each finished job's result, with that spec under "spec", to
+  /// <spool>/<id>.result.json, so any run can be replayed offline.
   std::string spool_dir;
   /// Journal size threshold (bytes) past which an append triggers
   /// compaction. 0 disables compaction.
@@ -130,7 +130,6 @@ class DseService {
   /// value (seconds) to advertise.
   std::optional<int> quota_retry_after(const std::string& client);
 
-  void spool_spec(const JobRecord& job) const;
   void spool_result(const JobRecord& job) const;
 
   const ServiceOptions options_;

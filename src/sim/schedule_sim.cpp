@@ -6,9 +6,9 @@
 #include <map>
 #include <stdexcept>
 
+#include "reliability/fault_injection.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/task_sampler.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -35,7 +35,7 @@ struct TrialOutcome {
 TrialOutcome run_trial(const app::TaskGraph& graph,
                        const platform::Interconnect& interconnect,
                        const std::vector<SimTask>& tasks,
-                       const std::vector<TaskSampler>& samplers,
+                       const std::vector<reliability::TaskSampler>& samplers,
                        const std::vector<std::size_t>& rank,
                        const std::vector<double>& zeta, std::size_t num_pes,
                        double deadline_us, util::Rng& rng) {
@@ -44,7 +44,7 @@ TrialOutcome run_trial(const app::TaskGraph& graph,
   // The fault process of a task is independent of when it runs, so all task
   // trials are drawn up front in task-id order — one fixed draw order per
   // stream, regardless of how the schedule unfolds.
-  std::vector<TaskTrial> draws(n);
+  std::vector<reliability::TaskTrial> draws(n);
   for (std::size_t t = 0; t < n; ++t) draws[t] = samplers[t].sample(rng);
 
   TrialOutcome out;
@@ -156,7 +156,7 @@ SimResult simulate_schedule(const app::TaskGraph& graph,
     }
     rank[task] = pos;
   }
-  std::vector<TaskSampler> samplers;
+  std::vector<reliability::TaskSampler> samplers;
   samplers.reserve(n);
   for (const SimTask& task : tasks) {
     if (task.pe >= num_pes) {
@@ -164,28 +164,9 @@ SimResult simulate_schedule(const app::TaskGraph& graph,
     }
     samplers.emplace_back(task.chain);  // validates the chain parameters
   }
-  {
-    // Kahn pass: reject cyclic graphs up front instead of stalling trials.
-    std::vector<std::size_t> pending(n);
-    std::vector<std::size_t> frontier;
-    for (std::size_t t = 0; t < n; ++t) {
-      pending[t] = graph.predecessors(t).size();
-      if (pending[t] == 0) frontier.push_back(t);
-    }
-    std::size_t visited = 0;
-    while (!frontier.empty()) {
-      const std::size_t t = frontier.back();
-      frontier.pop_back();
-      ++visited;
-      for (std::size_t succ : graph.successors(t)) {
-        if (--pending[succ] == 0) frontier.push_back(succ);
-      }
-    }
-    if (visited != n) {
-      throw std::invalid_argument(
-          "simulate_schedule: task graph contains a cycle");
-    }
-  }
+  // Reject cyclic graphs up front (invalid_argument) instead of stalling
+  // trials.
+  (void)graph.topological_order();
 
   const std::vector<double> zeta = graph.normalized_criticality();
   const platform::Interconnect& interconnect = architecture.interconnect();
@@ -342,7 +323,7 @@ FailureSimResult simulate_with_failures(
   // simulate_schedule; plus the mask table the trial loop dispatches on.
   std::map<std::vector<char>, std::size_t> variant_of_mask;
   std::vector<std::vector<std::size_t>> ranks(variants.size());
-  std::vector<std::vector<TaskSampler>> samplers(variants.size());
+  std::vector<std::vector<reliability::TaskSampler>> samplers(variants.size());
   for (std::size_t v = 0; v < variants.size(); ++v) {
     const SimVariant& variant = variants[v];
     const std::vector<char>& mask = variant_failures[v];
@@ -391,28 +372,8 @@ FailureSimResult simulate_with_failures(
       samplers[v].emplace_back(task.chain);  // validates the chain parameters
     }
   }
-  {
-    // Kahn pass (once — the graph is shared by every variant).
-    std::vector<std::size_t> pending(n);
-    std::vector<std::size_t> frontier;
-    for (std::size_t t = 0; t < n; ++t) {
-      pending[t] = graph.predecessors(t).size();
-      if (pending[t] == 0) frontier.push_back(t);
-    }
-    std::size_t visited = 0;
-    while (!frontier.empty()) {
-      const std::size_t t = frontier.back();
-      frontier.pop_back();
-      ++visited;
-      for (std::size_t succ : graph.successors(t)) {
-        if (--pending[succ] == 0) frontier.push_back(succ);
-      }
-    }
-    if (visited != n) {
-      throw std::invalid_argument(
-          "simulate_with_failures: task graph contains a cycle");
-    }
-  }
+  // Reject cyclic graphs once — the graph is shared by every variant.
+  (void)graph.topological_order();
 
   const std::vector<double> zeta = graph.normalized_criticality();
   const platform::Interconnect& interconnect = architecture.interconnect();

@@ -6,10 +6,11 @@
 // expectations gives the makespan, criticality weighting gives the error
 // probability. This simulator replays the whole application instead: every
 // trial samples each task's execution time and error outcome from the same
-// fault process the chains model (sim::TaskSampler), then executes the task
-// graph event-by-event on the architecture — respecting precedence, PE
-// contention and interconnect transfer delays — and records the realized
-// makespan, criticality-weighted error, energy and deadline outcome.
+// fault process the chains model (reliability::TaskSampler), then executes
+// the task graph event-by-event on the architecture — respecting
+// precedence, PE contention and interconnect transfer delays — and records
+// the realized makespan, criticality-weighted error, energy and deadline
+// outcome.
 // Agreement between SimResult and QosMetrics validates every approximation
 // the analytic path stacks on top of the chains (see docs/SIMULATION.md).
 //

@@ -27,6 +27,16 @@ double JsonValue::as_number() const {
   return std::get<double>(value_);
 }
 
+std::uint64_t JsonValue::as_uint64() const {
+  const double number = as_number();
+  constexpr double kTwoPow64 = 18446744073709551616.0;  // exact in a double
+  // Written so NaN fails the range test too.
+  if (!(number >= 0.0 && number < kTwoPow64) || std::trunc(number) != number) {
+    throw std::runtime_error("JsonValue: not an integer in [0, 2^64)");
+  }
+  return static_cast<std::uint64_t>(number);
+}
+
 const std::string& JsonValue::as_string() const {
   if (!is_string()) type_error("string");
   return std::get<std::string>(value_);

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -42,6 +43,11 @@ class JsonValue {
   /// Typed accessors; throw std::runtime_error on type mismatch.
   bool as_bool() const;
   double as_number() const;
+  /// The one checked JSON-to-integer conversion: a number that is a whole
+  /// value in [0, 2^64). Negative, fractional, non-finite and too-large
+  /// numbers throw std::runtime_error before any cast, so no input reaches
+  /// an undefined double-to-integer conversion.
+  std::uint64_t as_uint64() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;

@@ -29,10 +29,9 @@ RunManifest RunManifest::from_json(const JsonValue& value) {
     manifest.args.push_back(arg.as_string());
   }
   manifest.seed = value.at("seed").as_string();
-  manifest.threads =
-      static_cast<std::size_t>(value.at("threads").as_number());
+  manifest.threads = static_cast<std::size_t>(value.at("threads").as_uint64());
   manifest.cache_capacity =
-      static_cast<std::size_t>(value.at("cache_capacity").as_number());
+      static_cast<std::size_t>(value.at("cache_capacity").as_uint64());
   manifest.build_type = value.at("build_type").as_string();
   manifest.log_level = value.at("log_level").as_string();
   return manifest;

@@ -3,7 +3,7 @@
 // randomized problems, seeds, and thread counts, a cache-off run and
 // cache-on runs (roomy capacity and tiny, eviction-thrashed capacity) of
 // every DSE flow must produce bit-identical fronts, front genomes, and
-// evaluation counts — and run_nsga2 itself must produce bit-identical
+// evaluation counts — and the GA driver itself must produce bit-identical
 // populations, archives, objectives, and violations. Both caches are in
 // play here: the genome-level fitness cache inside ClrMappingProblem and
 // the chain-solve cache under the reliability analysis.
@@ -16,7 +16,7 @@
 #include "app/characterizer.hpp"
 #include "app/sobel.hpp"
 #include "core/dse.hpp"
-#include "moea/nsga2.hpp"
+#include "moea/island.hpp"
 #include "platform/architecture.hpp"
 #include "util/log.hpp"
 #include "util/memo_cache.hpp"
@@ -140,7 +140,7 @@ TEST_F(CacheEquivalenceTest, AllFlowsOnRandomizedSyntheticApplications) {
 }
 
 TEST_F(CacheEquivalenceTest, ArchivePointsAndViolationsMatchBitForBit) {
-  // Drop below the DseOutcome surface: run_nsga2's full state — population
+  // Drop below the DseOutcome surface: the GA's full state — population
   // objectives, constraint violations, archive members — must be identical
   // with and without the caches, including the within-batch genome dedupe
   // path that only engages when ops.hash/ops.equal are set.
@@ -158,7 +158,7 @@ TEST_F(CacheEquivalenceTest, ArchivePointsAndViolationsMatchBitForBit) {
   util::set_cache_capacity(0);
   util::set_thread_count(1);
   util::Rng rng_off(21);
-  const auto off = moea::run_nsga2(params, problem.ops(), rng_off);
+  const auto off = moea::run_island_nsga2(params, {}, problem.ops(), rng_off);
   ASSERT_FALSE(off.population.empty());
 
   for (const std::size_t capacity : {std::size_t{4096}, std::size_t{32}}) {
@@ -172,7 +172,8 @@ TEST_F(CacheEquivalenceTest, ArchivePointsAndViolationsMatchBitForBit) {
                    << "capacity " << capacity << ", threads " << threads);
       util::set_thread_count(threads);
       util::Rng rng_on(21);
-      const auto on = moea::run_nsga2(params, cached_problem.ops(), rng_on);
+      const auto on =
+          moea::run_island_nsga2(params, {}, cached_problem.ops(), rng_on);
 
       EXPECT_EQ(off.evaluations, on.evaluations);
       ASSERT_EQ(off.population.size(), on.population.size());

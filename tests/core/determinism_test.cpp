@@ -223,10 +223,14 @@ TEST_F(DeterminismTest, Islands1MatchesHandRolledNsga2) {
     o.heuristic_seed = true;  // run_fcclr only seeds with HEFT when asked to
     const core::ClrMappingProblem problem = dse.build_fcclr_problem(o);
 
+    // The single-population search spelled out on the engine.
     util::Rng rng(o.seed);
     std::vector<core::MappingGenome> seeds{core::heft_clr_mapping(problem).genome};
-    const auto direct = moea::run_nsga2(
-        o.ga, problem.ops(o.ga.mutation_indpb), rng, std::move(seeds));
+    const auto ops = problem.ops(o.ga.mutation_indpb);
+    moea::Nsga2Engine<core::MappingGenome> engine(o.ga, ops, rng,
+                                                  std::move(seeds));
+    while (!engine.done()) engine.advance();
+    const auto direct = engine.finish();
 
     // Mirror DseMethodology::collect: feasible front members, each distinct
     // objective vector reported once, in front order.
@@ -251,8 +255,9 @@ TEST_F(DeterminismTest, Islands1MatchesHandRolledNsga2) {
 }
 
 TEST_F(DeterminismTest, ArchiveIsThreadCountInvariant) {
-  // Exercise the external archive (batched merge) through run_nsga2 itself:
-  // the archives of serial and parallel runs must match member for member.
+  // Exercise the external archive (batched merge) through the GA driver
+  // itself: the archives of serial and parallel runs must match member for
+  // member.
   const app::Application sobel = app::make_sobel_application();
   const platform::Architecture arch = platform::Architecture::paper_default();
   const core::ClrMappingProblem problem(
@@ -266,11 +271,13 @@ TEST_F(DeterminismTest, ArchiveIsThreadCountInvariant) {
 
   util::set_thread_count(1);
   util::Rng rng_serial(7);
-  const auto serial = moea::run_nsga2(params, problem.ops(), rng_serial);
+  const auto serial = moea::run_island_nsga2(params, {}, problem.ops(),
+                                            rng_serial);
 
   util::set_thread_count(4);
   util::Rng rng_parallel(7);
-  const auto parallel = moea::run_nsga2(params, problem.ops(), rng_parallel);
+  const auto parallel = moea::run_island_nsga2(params, {}, problem.ops(),
+                                              rng_parallel);
 
   EXPECT_EQ(serial.evaluations, parallel.evaluations);
   ASSERT_FALSE(serial.archive.empty());

@@ -6,6 +6,7 @@
 
 #include "app/sobel.hpp"
 #include "core/experiment.hpp"
+#include "moea/island.hpp"
 #include "platform/architecture.hpp"
 
 namespace clrearly::core {
@@ -128,7 +129,7 @@ TEST_F(ScenarioProblemFixture, RobustDesignSurvivesBothConditions) {
   ga.population_size = 40;
   ga.generations = 25;
   util::Rng rng(7);
-  const auto result = moea::run_nsga2(ga, problem.ops(), rng);
+  const auto result = moea::run_island_nsga2(ga, {}, problem.ops(), rng);
 
   bool any_feasible = false;
   for (std::size_t i : result.front) {

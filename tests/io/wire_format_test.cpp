@@ -3,8 +3,9 @@
 // re-executes bit-identically through the same flow entry points.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "core/dse.hpp"
 #include "core/scenario.hpp"
@@ -137,6 +138,62 @@ TEST(WireFormatTest, RejectsBadFlowAndMalformedFields) {
                  "scenario": {"environment_factor": -1}
                })")),
                std::runtime_error);
+}
+
+TEST(WireFormatTest, RejectsIntegersOutsideTheirRange) {
+  // Every integer the format carries goes through one checked conversion,
+  // so a negative, fractional, non-finite or >= 2^64 value is a typed
+  // rejection, never a cast. A task type cast to SIZE_MAX would wrap
+  // num_types() to 0 and slip past Application::validate().
+  const util::JsonValue sobel =
+      io::to_json(io::resolve_application("sobel"));
+  const util::JsonValue paper =
+      io::to_json(io::resolve_architecture("default"));
+  const auto job = [&](util::JsonValue application,
+                       util::JsonValue architecture) {
+    return util::JsonValue(util::JsonObject{
+        {"format_version", 1},
+        {"application", std::move(application)},
+        {"architecture", std::move(architecture)}});
+  };
+  const auto with = [](util::JsonValue model, const char* list,
+                       const char* key, double value) {
+    util::JsonValue& entry = model.as_object()[list].as_array()[0];
+    if (key == nullptr) {
+      entry = util::JsonValue(value);
+    } else {
+      entry.as_object()[key] = util::JsonValue(value);
+    }
+    return model;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double two_pow_64 = 18446744073709551616.0;
+
+  for (const double bad : {-1.0, 1.7, two_pow_64, 1e300, inf, nan}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(io::job_spec_from_json(
+                     job(with(sobel, "tasks", "type", bad), paper)),
+                 std::runtime_error);
+    EXPECT_THROW(io::job_spec_from_json(
+                     job(with(sobel, "edges", "src", bad), paper)),
+                 std::runtime_error);
+    EXPECT_THROW(io::job_spec_from_json(
+                     job(with(sobel, "edges", "dst", bad), paper)),
+                 std::runtime_error);
+    EXPECT_THROW(io::job_spec_from_json(
+                     job(sobel, with(paper, "pes", nullptr, bad))),
+                 std::runtime_error);
+    util::JsonValue seeded = job(sobel, paper);
+    seeded.as_object()["seed"] = util::JsonValue(bad);
+    EXPECT_THROW(io::job_spec_from_json(seeded), std::runtime_error);
+  }
+  // The version is compared as parsed: 2^32 + 1 must not narrow to 1.
+  util::JsonValue wrapped = job(sobel, paper);
+  wrapped.as_object()["format_version"] = util::JsonValue(4294967297.0);
+  EXPECT_THROW(io::job_spec_from_json(wrapped), std::runtime_error);
+  // The unmodified models still parse.
+  EXPECT_NO_THROW(io::job_spec_from_json(job(sobel, paper)));
 }
 
 TEST(WireFormatTest, ResilienceSpecRoundTripsThroughJson) {
@@ -317,9 +374,10 @@ TEST(WireFormatTest, SpooledSpecReplaysBitIdentically) {
   spec.heuristic_seed = false;
   spec.spec = {};
 
-  const std::string path = ::testing::TempDir() + "/wire_replay.spec.json";
-  io::save_job_spec(path, spec);
-  const io::JobSpec replay = io::load_job_spec(path);
+  // Spooled as the serve daemon spools it: the serialized wire form, as in
+  // the journal's submit records and under "spec" in <id>.result.json.
+  const io::JobSpec replay =
+      io::job_spec_from_json(util::json_parse(canon(spec)));
   EXPECT_EQ(canon(spec), canon(replay));
 
   const core::DseMethodology dse_a(
@@ -335,7 +393,6 @@ TEST(WireFormatTest, SpooledSpecReplaysBitIdentically) {
     EXPECT_EQ(a.front[i], b.front[i]) << "front point " << i;
   }
   EXPECT_EQ(a.evaluations, b.evaluations);
-  std::remove(path.c_str());
 }
 
 TEST(WireFormatTest, ProgressHookObservesEveryGeneration) {

@@ -8,17 +8,21 @@
 //    (time variance within 1e-9) for random chains of t = 1..40 and for
 //    every CLR size class, and the batched assembler writes the reference
 //    builder's Q / R / residence bit for bit.
-// Plus workspace reuse across sizes, the bounded shrink policy, and a
-// concurrent-batch TSan shard (test names stay under ChainBatch* so the CI
-// TSan regex finds them).
+// Plus workspace reuse across sizes, no per-chain heap allocation on a warm
+// batch call (counted by this binary's own operator new), the bounded
+// shrink policy, and a concurrent-batch TSan shard (test names stay under
+// ChainBatch* so the CI TSan and ASan regexes find them).
 #include "markov/chain_batch.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
@@ -32,6 +36,31 @@
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+
+// Global operator new/delete replacements for this test binary only: every
+// heap allocation bumps one relaxed atomic, so "a warm batch call does not
+// allocate per chain" is counted rather than assumed.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size != 0 ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+
+// These replace the global pair, so free() does match the malloc() above;
+// GCC cannot see that once it inlines them into callers and warns.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace clrearly::markov {
 namespace {
@@ -324,6 +353,29 @@ TEST(ChainBatchReuseTest, WarmBatchAcrossSizesIsClean) {
         }
       }
     }
+  }
+}
+
+// A warm, uncached batch call reuses the thread's workspace: what it
+// allocates is per call (results, dedupe table, size classes), never per
+// chain. Checked on distinct chains at every interval count the DSE uses.
+TEST(ChainBatchTest, WarmBatchDoesNotAllocatePerChain) {
+  constexpr std::size_t kChains = 256;
+  const ChainBatchOptions uncached{.use_cache = false};
+  for (std::size_t intervals = 1; intervals <= 5; ++intervals) {
+    std::vector<ClrChainParams> params;
+    for (std::size_t i = 0; i < kChains; ++i) {
+      params.push_back(make_params(intervals, 1000 * intervals + i));
+    }
+    (void)analyze_clr_chain_batch(params, uncached);  // warm the workspace
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::vector<ClrChainAnalysis> out =
+        analyze_clr_chain_batch(params, uncached);
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(out.size(), kChains);
+    EXPECT_GT(allocs, 0u) << "the counter is not wired in";
+    EXPECT_LT(allocs, kChains) << "intervals " << intervals;
   }
 }
 

@@ -74,16 +74,19 @@ TEST(IslandTest, ShardingTooSmallThrows) {
                std::invalid_argument);
 }
 
-// --- islands == 1 degrades to the plain path bit for bit --------------------
+// --- islands == 1 is the plain engine loop bit for bit ----------------------
 
-TEST(IslandTest, Islands1BitIdenticalToRunNsga2) {
+TEST(IslandTest, Islands1BitIdenticalToHandRolledEngine) {
   Nsga2Params ga;
   ga.population_size = 24;
   ga.generations = 12;
   const auto ops = real_ops(6, zdt1);
 
+  // The single-population search spelled out on the engine.
   util::Rng direct_rng(17);
-  const auto direct = run_nsga2(ga, ops, direct_rng);
+  Nsga2Engine<RealGenome> engine(ga, ops, direct_rng);
+  while (!engine.done()) engine.advance();
+  const auto direct = engine.finish();
 
   IslandParams island;  // islands == 1
   util::Rng island_rng(17);
@@ -156,7 +159,7 @@ TEST(IslandTest, EvaluationBudgetMatchesSinglePopulation) {
   const auto ops = real_ops(5, zdt1);
 
   util::Rng rng_single(41);
-  const auto single = run_nsga2(ga, ops, rng_single);
+  const auto single = run_island_nsga2(ga, {}, ops, rng_single);
 
   IslandParams island;
   island.islands = 4;

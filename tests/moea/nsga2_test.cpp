@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "moea/hypervolume.hpp"
+#include "moea/island.hpp"
 
 namespace clrearly::moea {
 namespace {
@@ -53,7 +54,7 @@ TEST(Nsga2Test, MissingCallbacksRejected) {
   Nsga2Params params;
   Nsga2Ops<RealGenome> ops;  // all empty
   util::Rng rng(1);
-  EXPECT_THROW(run_nsga2(params, ops, rng), std::invalid_argument);
+  EXPECT_THROW(run_island_nsga2(params, {}, ops, rng), std::invalid_argument);
 }
 
 // --- Convergence on ZDT1-style bi-objective problem ------------------------------
@@ -76,7 +77,7 @@ TEST(Nsga2Test, ConvergesTowardZdt1Front) {
   params.generations = 80;
   params.mutation_prob = 0.3;
   util::Rng rng(7);
-  const auto result = run_nsga2(params, real_ops(6, zdt1), rng);
+  const auto result = run_island_nsga2(params, {}, real_ops(6, zdt1), rng);
 
   ASSERT_FALSE(result.front.empty());
   // Every front point should be close to the analytical front
@@ -106,8 +107,9 @@ TEST(Nsga2Test, MoreGenerationsImproveHypervolume) {
   long_run.generations = 60;
 
   util::Rng rng_a(3), rng_b(3);
-  const auto quick = run_nsga2(short_run, real_ops(8, zdt1), rng_a);
-  const auto deep = run_nsga2(long_run, real_ops(8, zdt1), rng_b);
+  const auto quick =
+      run_island_nsga2(short_run, {}, real_ops(8, zdt1), rng_a);
+  const auto deep = run_island_nsga2(long_run, {}, real_ops(8, zdt1), rng_b);
 
   const Objectives ref{1.1, 11.0};
   EXPECT_GT(hypervolume(deep.front_objectives(), ref),
@@ -119,8 +121,8 @@ TEST(Nsga2Test, DeterministicForSeed) {
   params.population_size = 20;
   params.generations = 10;
   util::Rng rng_a(9), rng_b(9);
-  const auto a = run_nsga2(params, real_ops(4, zdt1), rng_a);
-  const auto b = run_nsga2(params, real_ops(4, zdt1), rng_b);
+  const auto a = run_island_nsga2(params, {}, real_ops(4, zdt1), rng_a);
+  const auto b = run_island_nsga2(params, {}, real_ops(4, zdt1), rng_b);
   ASSERT_EQ(a.front.size(), b.front.size());
   EXPECT_EQ(a.front_objectives(), b.front_objectives());
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -131,7 +133,7 @@ TEST(Nsga2Test, EvaluationCountMatchesSchedule) {
   params.population_size = 20;
   params.generations = 10;
   util::Rng rng(2);
-  const auto result = run_nsga2(params, real_ops(3, zdt1), rng);
+  const auto result = run_island_nsga2(params, {}, real_ops(3, zdt1), rng);
   // init + generations * offspring.
   EXPECT_EQ(result.evaluations, 20u + 10u * 20u);
   EXPECT_EQ(result.population.size(), 20u);
@@ -152,7 +154,7 @@ TEST(Nsga2Test, ConstraintsSteerToFeasibleRegion) {
   params.generations = 60;
   params.mutation_prob = 0.3;
   util::Rng rng(5);
-  const auto result = run_nsga2(params, real_ops(2, eval), rng);
+  const auto result = run_island_nsga2(params, {}, real_ops(2, eval), rng);
 
   ASSERT_FALSE(result.front.empty());
   for (std::size_t i : result.front) {
@@ -180,7 +182,8 @@ TEST(Nsga2Test, SeedsSurviveWhenOptimal) {
   params.generations = 5;
   util::Rng rng(6);
   std::vector<RealGenome> seeds{RealGenome(4, 0.0)};
-  const auto result = run_nsga2(params, real_ops(4, eval), rng, seeds);
+  const auto result =
+      run_island_nsga2(params, {}, real_ops(4, eval), rng, seeds);
   double best = 1e9;
   for (const Objectives& p : result.front_objectives()) {
     best = std::min(best, p[0]);
@@ -201,8 +204,9 @@ TEST(Nsga2Test, SeedingAcceleratesConvergence) {
     seeds.push_back(g);
   }
   util::Rng rng_seeded(4), rng_cold(4);
-  const auto seeded = run_nsga2(params, real_ops(8, zdt1), rng_seeded, seeds);
-  const auto cold = run_nsga2(params, real_ops(8, zdt1), rng_cold);
+  const auto seeded =
+      run_island_nsga2(params, {}, real_ops(8, zdt1), rng_seeded, seeds);
+  const auto cold = run_island_nsga2(params, {}, real_ops(8, zdt1), rng_cold);
 
   const Objectives ref{1.1, 11.0};
   EXPECT_GT(hypervolume(seeded.front_objectives(), ref),
@@ -216,7 +220,7 @@ TEST(Nsga2Test, ArchiveDisabledByDefault) {
   params.population_size = 20;
   params.generations = 5;
   util::Rng rng(10);
-  const auto result = run_nsga2(params, real_ops(4, zdt1), rng);
+  const auto result = run_island_nsga2(params, {}, real_ops(4, zdt1), rng);
   EXPECT_TRUE(result.archive.empty());
 }
 
@@ -226,7 +230,7 @@ TEST(Nsga2Test, ArchiveNeverWorseThanFinalFront) {
   params.generations = 20;
   params.archive_size = 200;
   util::Rng rng(11);
-  const auto result = run_nsga2(params, real_ops(6, zdt1), rng);
+  const auto result = run_island_nsga2(params, {}, real_ops(6, zdt1), rng);
 
   ASSERT_FALSE(result.archive.empty());
   const Objectives ref{1.1, 11.0};
@@ -246,7 +250,7 @@ TEST(Nsga2Test, ArchiveIsMutuallyNonDominatedAndFeasible) {
   params.generations = 15;
   params.archive_size = 100;
   util::Rng rng(12);
-  const auto result = run_nsga2(params, real_ops(2, eval), rng);
+  const auto result = run_island_nsga2(params, {}, real_ops(2, eval), rng);
 
   for (const auto& a : result.archive) {
     EXPECT_LE(a.eval.violation, 0.0);
@@ -263,7 +267,7 @@ TEST(Nsga2Test, ArchiveRespectsCapacity) {
   params.generations = 30;
   params.archive_size = 10;
   util::Rng rng(13);
-  const auto result = run_nsga2(params, real_ops(6, zdt1), rng);
+  const auto result = run_island_nsga2(params, {}, real_ops(6, zdt1), rng);
   EXPECT_LE(result.archive.size(), 10u);
   EXPECT_GE(result.archive.size(), 2u);
 }

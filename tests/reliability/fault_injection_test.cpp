@@ -1,13 +1,18 @@
 // Cross-validation of the analytical Markov models against the semantic
 // fault-injection simulator — two independent implementations of the same
-// process must agree on timing and functional reliability.
+// process must agree on timing and functional reliability — plus the
+// single-trial TaskSampler that inject_faults() aggregates and the schedule
+// simulator draws from.
 #include "reliability/fault_injection.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <ostream>
 #include <stdexcept>
+
+#include "util/rng.hpp"
 
 namespace clrearly::reliability {
 namespace {
@@ -135,6 +140,128 @@ TEST(FaultInjectionTest, UnequalIntervalsMatchAnalytical) {
   const InjectionResult sim = inject_faults(p, 100000, 11);
   EXPECT_NEAR(sim.mean_exec_time_us / analytic.avg_exec_time_us, 1.0, 0.01);
   EXPECT_NEAR(sim.error_rate, analytic.error_prob, 0.003);
+}
+
+// --- TaskSampler: one draw of the same process -------------------------------
+
+ClrChainParams sampler_params() {
+  ClrChainParams p;
+  p.exec_time_us = 100.0;
+  p.lambda_per_us = 2e-3;
+  p.hw_masking = 0.2;
+  p.implicit_ssw_masking = 0.1;
+  p.detection_coverage = 0.9;
+  p.tolerance_success = 0.95;
+  p.asw_masking = 0.3;
+  p.intervals = 4;
+  p.detection_time_us = 1.5;
+  p.tolerance_time_us = 4.0;
+  p.checkpoint_time_us = 2.0;
+  p.checkpoint_error_prob = 1e-4;
+  return p;
+}
+
+TEST(TaskSamplerTest, ValidatesParamsAtConstruction) {
+  ClrChainParams bad = sampler_params();
+  bad.exec_time_us = -1.0;
+  EXPECT_THROW(TaskSampler sampler(bad), std::invalid_argument);
+
+  bad = sampler_params();
+  bad.detection_coverage = 1.5;
+  EXPECT_THROW(TaskSampler sampler(bad), std::invalid_argument);
+
+  bad = sampler_params();
+  bad.intervals = 0;
+  EXPECT_THROW(TaskSampler sampler(bad), std::invalid_argument);
+}
+
+TEST(TaskSamplerTest, FaultFreeProcessIsDeterministic) {
+  // lambda = 0: every trial is the clean path — exec time plus one
+  // detection pass per interval plus the inter-interval checkpoints.
+  ClrChainParams p = sampler_params();
+  p.lambda_per_us = 0.0;
+  p.checkpoint_error_prob = 0.0;
+  const TaskSampler sampler(p);
+
+  const double expected =
+      p.exec_time_us + 4 * p.detection_time_us + 3 * p.checkpoint_time_us;
+  util::Rng rng(1);
+  for (int i = 0; i < 50; ++i) {
+    const TaskTrial trial = sampler.sample(rng);
+    EXPECT_DOUBLE_EQ(trial.exec_time_us, expected);
+    EXPECT_FALSE(trial.corrupted);
+    EXPECT_EQ(trial.faults, 0u);
+    EXPECT_EQ(trial.rollbacks, 0u);
+  }
+}
+
+TEST(TaskSamplerTest, DeterministicForSameRngState) {
+  const TaskSampler sampler(sampler_params());
+  util::Rng a(99), b(99);
+  for (int i = 0; i < 200; ++i) {
+    const TaskTrial ta = sampler.sample(a);
+    const TaskTrial tb = sampler.sample(b);
+    EXPECT_DOUBLE_EQ(ta.exec_time_us, tb.exec_time_us);
+    EXPECT_EQ(ta.corrupted, tb.corrupted);
+    EXPECT_EQ(ta.faults, tb.faults);
+    EXPECT_EQ(ta.rollbacks, tb.rollbacks);
+  }
+}
+
+TEST(TaskSamplerTest, AggregateMatchesAnalyticChains) {
+  // The analytic Fig. 3 solution: mean time and error probability of many
+  // samples within Monte Carlo tolerance.
+  const ClrChainParams p = sampler_params();
+  const ClrChainAnalysis chain = analyze_clr_chain(p);
+
+  const TaskSampler sampler(p);
+  util::Rng rng(7);
+  const std::size_t trials = 60000;
+  double total_time = 0.0, errors = 0.0;
+  for (std::size_t i = 0; i < trials; ++i) {
+    const TaskTrial trial = sampler.sample(rng);
+    total_time += trial.exec_time_us;
+    if (trial.corrupted) errors += 1.0;
+  }
+  const double n = static_cast<double>(trials);
+  EXPECT_NEAR(total_time / n, chain.avg_exec_time_us,
+              0.02 * chain.avg_exec_time_us);
+  EXPECT_NEAR(errors / n, chain.error_prob, 0.005);
+}
+
+TEST(TaskSamplerTest, RollbacksExtendTimeButPreventCorruption) {
+  // Perfect detection + tolerance: errors only escape through checkpoint
+  // corruption (disabled here); a high fault rate must show up as rollbacks
+  // and longer runs instead.
+  ClrChainParams p = sampler_params();
+  p.lambda_per_us = 0.05;  // ~5 faults per interval pass
+  p.hw_masking = 0.0;
+  p.implicit_ssw_masking = 0.0;
+  p.detection_coverage = 1.0;
+  p.tolerance_success = 1.0;
+  p.checkpoint_error_prob = 0.0;
+  const TaskSampler sampler(p);
+
+  util::Rng rng(3);
+  std::size_t rollbacks = 0;
+  const double clean_time =
+      p.exec_time_us + 4 * p.detection_time_us + 3 * p.checkpoint_time_us;
+  double total_time = 0.0;
+  for (int i = 0; i < 2000; ++i) {
+    const TaskTrial trial = sampler.sample(rng);
+    EXPECT_FALSE(trial.corrupted);
+    rollbacks += trial.rollbacks;
+    total_time += trial.exec_time_us;
+  }
+  EXPECT_GT(rollbacks, 0u);
+  EXPECT_GT(total_time / 2000.0, clean_time);
+}
+
+TEST(TaskSamplerTest, ExposesValidatedParams) {
+  const ClrChainParams p = sampler_params();
+  const TaskSampler sampler(p);
+  EXPECT_DOUBLE_EQ(sampler.params().exec_time_us, p.exec_time_us);
+  EXPECT_EQ(sampler.params().intervals, p.intervals);
 }
 
 }  // namespace

@@ -152,6 +152,50 @@ TEST(JournalTest, UnknownVersionRecordsAreSkippedNotFatal) {
   EXPECT_EQ(stats.dropped_torn, 0u);
 }
 
+TEST(JournalTest, GarbledSeqOrVersionRecordsAreSkipped) {
+  const std::string dir = fresh_dir("journal_garbled");
+  const std::string path = dir + "/journal.jsonl";
+  {
+    JobJournal journal(path, /*compact_bytes=*/0);
+    journal.record_submitted(JobRecord("job-000001", tiny_spec(1)),
+                             JobPriority::kNormal, "default");
+  }
+  std::string line;
+  {
+    std::ifstream in(path);
+    std::getline(in, line);
+  }
+  const util::JsonValue good = util::json_parse(line);
+  // Copies of that record with a negative, fractional or out-of-range seq
+  // or v are malformed records (never cast), followed by one valid record.
+  const auto append = [&](const char* id, const char* key, double value) {
+    util::JsonValue record = good;
+    record.as_object()["id"] = util::JsonValue(id);
+    record.as_object()[key] = util::JsonValue(value);
+    std::string flat;
+    for (char c : util::json_serialize(record)) {
+      if (c != '\n') flat.push_back(c);
+    }
+    std::ofstream(path, std::ios::app) << flat << "\n";
+  };
+  append("job-000091", "seq", -1.0);
+  append("job-000092", "seq", 0.5);
+  append("job-000093", "seq", 1e300);
+  append("job-000094", "v", -1.0);
+  append("job-000095", "v", 1.5);
+  append("job-000096", "v", 1e300);
+  append("job-000002", "seq", 7.0);
+
+  JournalReplayStats stats;
+  const std::vector<JournalEntry> entries = JobJournal::replay(path, &stats);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].id, "job-000001");
+  EXPECT_EQ(entries[1].id, "job-000002");
+  EXPECT_EQ(entries[1].seq, 7u);
+  EXPECT_EQ(stats.skipped_version, 6u);
+  EXPECT_EQ(stats.dropped_torn, 0u);
+}
+
 TEST(JournalTest, CompactionKeepsOnlyLiveJobs) {
   const std::string dir = fresh_dir("journal_compact");
   const std::string path = dir + "/journal.jsonl";

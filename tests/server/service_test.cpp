@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 
@@ -262,13 +265,25 @@ TEST(ServiceTest, SpooledSpecReplaysToTheSpooledResult) {
   ServiceOptions options;
   options.workers = 1;
   options.spool_dir = ::testing::TempDir() + "/service_spool";
+  std::filesystem::remove_all(options.spool_dir);
   DseService service(options);
   const std::string id =
       run_to_completion(service, small_job_body("proposed", 7));
   const util::JsonValue result = fetch_result(service, id);
 
+  // The worker spools the result file after the job turns done; joining
+  // the workers orders that write before the reads below. No spec file:
+  // the result file carries the resolved spec.
+  service.shutdown(/*cancel_pending=*/false);
+  EXPECT_FALSE(std::filesystem::exists(options.spool_dir + "/" + id +
+                                       ".spec.json"));
+  std::ifstream spooled(options.spool_dir + "/" + id + ".result.json");
+  ASSERT_TRUE(spooled.good());
+  const util::JsonValue spooled_result = util::json_parse(
+      std::string(std::istreambuf_iterator<char>(spooled), {}));
+  EXPECT_EQ(spooled_result.at("front"), result.at("front"));
   const io::JobSpec replay =
-      io::load_job_spec(options.spool_dir + "/" + id + ".spec.json");
+      io::job_spec_from_json(spooled_result.at("spec"));
   const core::DseMethodology dse(
       replay.application, replay.architecture,
       core::make_condition_analyzer(replay.scenario.environment_factor));
@@ -515,6 +530,31 @@ TEST(ServiceTest, SseSinkStreamsProgressAndFinalState) {
   ASSERT_TRUE(error.has_value());
   EXPECT_EQ(error->status, 404);
   EXPECT_TRUE(frames.empty());
+}
+
+TEST(ServiceTest, OutOfRangeTaskTypeIs400AndTheDaemonKeepsServing) {
+  // An inline application whose task type is -1 is refused at admission,
+  // before a worker could run the DSE on it; the next valid job completes.
+  ServiceOptions options;
+  options.workers = 1;
+  DseService service(options);
+  util::JsonValue application = io::to_json(io::resolve_application("sobel"));
+  application.as_object()["tasks"].as_array()[0].as_object()["type"] =
+      util::JsonValue(-1.0);
+  const util::JsonValue body(util::JsonObject{
+      {"format_version", 1},
+      {"flow", "fcclr"},
+      {"ga", util::JsonObject{{"population_size", 16}, {"generations", 2}}},
+      {"application", std::move(application)}});
+  const HttpResponse rejected = service.handle(
+      make_request("POST", "/v1/jobs", util::json_serialize(body)));
+  EXPECT_EQ(rejected.status, 400) << rejected.body;
+  EXPECT_NE(rejected.body.find("tasks[].type"), std::string::npos)
+      << rejected.body;
+
+  const std::string id =
+      run_to_completion(service, small_job_body("fcclr", 3, 2));
+  EXPECT_FALSE(fetch_result(service, id).at("front").as_array().empty());
 }
 
 TEST(ServiceTest, ErrorPaths) {

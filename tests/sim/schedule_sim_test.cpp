@@ -95,14 +95,40 @@ TEST(ScheduleSimTest, ValidatesInputs) {
   bad_chain[0].chain.exec_time_us = -1.0;
   EXPECT_THROW(simulate_schedule(graph, arch, bad_chain, order, options),
                std::invalid_argument);
-  // Cyclic graphs are rejected up front.
-  app::TaskGraph cyclic;
-  cyclic.add_task(0, "a");
-  cyclic.add_task(0, "b");
-  cyclic.add_edge(0, 1);
-  cyclic.add_edge(1, 0);
+}
+
+TEST(ScheduleSimTest, BothSimulatorsRejectCyclicGraphs) {
+  // The same inputs run on a chain a -> b -> c; closing it into a cycle
+  // must make both entry points throw before any trial runs.
+  app::TaskGraph chain;
+  chain.add_task(0, "a");
+  chain.add_task(0, "b");
+  chain.add_task(0, "c");
+  chain.add_edge(0, 1);
+  chain.add_edge(1, 2);
+  app::TaskGraph cyclic = chain;
+  cyclic.add_edge(2, 0);
+
+  const platform::Architecture arch = make_arch(2);
+  const std::vector<SimTask> tasks{fixed_task(1.0, 0), fixed_task(1.0, 1),
+                                   fixed_task(1.0, 0)};
+  const std::vector<std::size_t> order{0, 1, 2};
+  SimOptions options;
+  options.trials = 10;
+  const std::vector<SimVariant> variants{SimVariant{tasks, order}};
+  const std::vector<std::vector<char>> masks{std::vector<char>(2, 0)};
+  FailureSimOptions failure_options;
+  failure_options.trials = 10;
+  failure_options.pe_failure_prob = {0.0, 0.0};
+
+  EXPECT_NO_THROW(simulate_schedule(chain, arch, tasks, order, options));
+  EXPECT_NO_THROW(
+      simulate_with_failures(chain, arch, variants, masks, failure_options));
   EXPECT_THROW(simulate_schedule(cyclic, arch, tasks, order, options),
                std::invalid_argument);
+  EXPECT_THROW(
+      simulate_with_failures(cyclic, arch, variants, masks, failure_options),
+      std::invalid_argument);
 }
 
 TEST(ScheduleSimTest, FaultFreeChainMatchesHandComputation) {

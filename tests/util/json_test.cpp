@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace clrearly::util {
@@ -28,6 +29,22 @@ TEST(JsonValueTest, TypedAccessorsThrowOnMismatch) {
   EXPECT_THROW(v.as_object(), std::runtime_error);
   EXPECT_THROW(v.as_bool(), std::runtime_error);
   EXPECT_THROW(v.at("x"), std::runtime_error);
+}
+
+TEST(JsonValueTest, AsUint64AcceptsOnlyWholeNumbersBelowTwoPow64) {
+  EXPECT_EQ(JsonValue(0.0).as_uint64(), 0u);
+  EXPECT_EQ(JsonValue(-0.0).as_uint64(), 0u);
+  EXPECT_EQ(JsonValue(42).as_uint64(), 42u);
+  // The largest double below 2^64 converts exactly.
+  EXPECT_EQ(JsonValue(18446744073709549568.0).as_uint64(),
+            18446744073709549568ull);
+  for (const double bad : {-1.0, -0.5, 0.5, 1.7, 18446744073709551616.0,
+                           1e300, std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(JsonValue(bad).as_uint64(), std::runtime_error) << bad;
+  }
+  EXPECT_THROW(JsonValue("7").as_uint64(), std::runtime_error);
 }
 
 TEST(JsonValueTest, ObjectAccess) {

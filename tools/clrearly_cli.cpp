@@ -564,7 +564,8 @@ int cmd_serve(const std::vector<std::string>& args) {
       .option("workers", "concurrent DSE jobs", "2")
       .option("queue-depth", "max waiting jobs before 429", "16")
       .option("max-sessions", "model sessions kept warm (LRU)", "8")
-      .option("spool", "spool job specs/results into this directory", "")
+      .option("spool",
+              "journal jobs and spool results (with their specs) here", "")
       .option("port-file", "write the bound port to this file once listening",
               "")
       .option("journal-compact-bytes",
