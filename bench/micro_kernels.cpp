@@ -24,6 +24,7 @@
 #include "reliability/clr_chain_builder.hpp"
 #include "util/cpu_features.hpp"
 #include "util/log.hpp"
+#include "util/memo_cache.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -91,23 +92,34 @@ void BM_ListSchedule(benchmark::State& state) {
         sched::list_schedule(syn.graph, assignments, order, 6));
   }
 }
-BENCHMARK(BM_ListSchedule)->Arg(10)->Arg(50)->Arg(100);
+BENCHMARK(BM_ListSchedule)->Arg(10)->Arg(50)->Arg(100)->Arg(500)->Arg(2000);
 
 void BM_FitnessEvaluation(benchmark::State& state) {
-  // One full fcCLR fitness evaluation: decode + schedule + TABLE III.
+  // One uncached fcCLR fitness evaluation, as the GA makes it: decode +
+  // schedule + the QoS fields the paper's objectives and Fapp >= 0.99 spec
+  // read. The problem is built with the fitness cache off, and iterations
+  // rotate through distinct genomes.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const app::Application syn = app::make_synthetic_application(n, 10, 7);
+  sched::QosSpec spec;
+  spec.min_functional_rel = 0.99;
+  const std::size_t capacity = util::cache_capacity();
+  util::set_cache_capacity(0);
   const core::ClrMappingProblem problem(
       syn, platform::Architecture::paper_default(),
-      core::bench_system_analyzer(), core::SystemObjectives{},
-      sched::QosSpec{});
+      core::bench_system_analyzer(), core::SystemObjectives{}, spec);
+  util::set_cache_capacity(capacity);
   util::Rng rng(2);
-  const core::MappingGenome genome = problem.layout().random(rng);
+  std::vector<core::MappingGenome> genomes;
+  for (int i = 0; i < 64; ++i) genomes.push_back(problem.layout().random(rng));
+  std::size_t next = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(problem.evaluate(genome));
+    benchmark::DoNotOptimize(problem.evaluate(genomes[next]));
+    next = (next + 1) % genomes.size();
   }
 }
-BENCHMARK(BM_FitnessEvaluation)->Arg(10)->Arg(50)->Arg(100);
+BENCHMARK(BM_FitnessEvaluation)
+    ->Arg(10)->Arg(50)->Arg(100)->Arg(500)->Arg(2000);
 
 void BM_Nsga2Generation(benchmark::State& state) {
   // Cost of one generation = one run with generations=1 minus init; we

@@ -108,11 +108,15 @@ void GenomeLayout::mutate(MappingGenome& g, util::Rng& rng,
 }
 
 void GenomeLayout::validate(const MappingGenome& g) const {
-  if (g.order.size() != num_tasks_) {
-    throw std::invalid_argument("GenomeLayout: order length mismatch");
-  }
+  validate_genes(g);
   if (!moea::is_permutation(g.order)) {
     throw std::invalid_argument("GenomeLayout: order is not a permutation");
+  }
+}
+
+void GenomeLayout::validate_genes(const MappingGenome& g) const {
+  if (g.order.size() != num_tasks_) {
+    throw std::invalid_argument("GenomeLayout: order length mismatch");
   }
   if (g.genes.size() != gene_count()) {
     throw std::invalid_argument("GenomeLayout: gene count mismatch");

@@ -72,6 +72,11 @@ class GenomeLayout {
   /// std::invalid_argument on violation.
   void validate(const MappingGenome& g) const;
 
+  /// validate() except the permutation check, for callers that check the
+  /// order themselves (a QoS plan ranks it and throws on a non-permutation).
+  /// Allocation-free.
+  void validate_genes(const MappingGenome& g) const;
+
  private:
   std::size_t num_tasks_;
   std::size_t fields_per_task_;

@@ -47,6 +47,14 @@ std::vector<double> SystemObjectives::extract(
   return out;
 }
 
+sched::QosFieldMask SystemObjectives::fields_read() const {
+  sched::QosFieldMask fields = 0;
+  if (error_prob) fields |= sched::kQosFunctionalRel;
+  if (energy) fields |= sched::kQosEnergy;
+  if (power) fields |= sched::kQosPeakPower;
+  return fields;
+}
+
 double SystemObjectives::scalarize(const sched::QosMetrics& m) const {
   double acc = 0.0;
   for (double component : extract(m)) acc += component;
@@ -65,7 +73,8 @@ ClrMappingProblem::ClrMappingProblem(app::Application application,
       objectives_(objectives),
       spec_(spec),
       axes_(axes),
-      mode_(Mode::kFullConfig) {
+      mode_(Mode::kFullConfig),
+      plan_(app_, arch_, objectives_.fields_read() | spec_.fields_read()) {
   app_.validate();
   if (arch_.num_pes() == 0) {
     throw std::invalid_argument("ClrMappingProblem: architecture has no PEs");
@@ -95,7 +104,8 @@ ClrMappingProblem::ClrMappingProblem(
       spec_(spec),
       axes_(reliability::ClrAxes::all()),
       mode_(Mode::kParetoFiltered),
-      points_(std::move(pareto_points)) {
+      points_(std::move(pareto_points)),
+      plan_(app_, arch_, objectives_.fields_read() | spec_.fields_read()) {
   app_.validate();
   if (arch_.num_pes() == 0) {
     throw std::invalid_argument("ClrMappingProblem: architecture has no PEs");
@@ -240,17 +250,18 @@ void ClrMappingProblem::build_layout() {
   }
 }
 
-ClrMappingProblem::ResolvedTask ClrMappingProblem::decode_task(
+ClrMappingProblem::Choice ClrMappingProblem::decode_task(
     const MappingGenome& g, std::size_t t) const {
-  const GenomeLayout& layout = *layout_;
-  const std::size_t type = app_.graph.task(t).type;
-  ResolvedTask resolved;
+  // Every caller validated `g`, so the task's genes are in range; read them
+  // and the platform tables directly, without the checked accessors.
+  const std::size_t* genes = g.genes.data() + t * layout_->fields_per_task();
+  const std::size_t type = app_.graph.tasks()[t].type;
+  Choice resolved;
 
   if (mode_ == Mode::kFullConfig) {
     const reliability::ClrSpace& space = analyzer_.space();
     const auto& impls = app_.impls[type];
-    const std::size_t impl =
-        layout.gene(g, t, kFieldImpl) % impls.size();
+    const std::size_t impl = genes[kFieldImpl] % impls.size();
     const auto& compatible =
         pes_by_class_[class_index(impls[impl].target)];
     if (compatible.empty()) {
@@ -258,37 +269,37 @@ ClrMappingProblem::ResolvedTask ClrMappingProblem::decode_task(
           "ClrMappingProblem: no PE instance can host implementation " +
           impls[impl].name);
     }
-    const std::size_t pe =
-        compatible[layout.gene(g, t, kFieldPeSel) % compatible.size()];
-    const std::size_t pe_type = arch_.pe(pe).type_index;
-    const std::size_t d_n = arch_.type(pe_type).dvfs.size();
+    const std::size_t pe = compatible[genes[kFieldPeSel] % compatible.size()];
+    const std::size_t pe_type = arch_.pes()[pe].type_index;
+    const std::size_t d_n = arch_.types()[pe_type].dvfs.size();
     const std::size_t s_n = space.ssw_methods().size();
     const std::size_t a_n = space.asw_methods().size();
-    const std::size_t h =
-        axes_.hw ? layout.gene(g, t, kFieldHw) : 0;
-    const std::size_t s =
-        axes_.ssw ? layout.gene(g, t, kFieldSsw) : 0;
-    const std::size_t a =
-        axes_.asw ? layout.gene(g, t, kFieldAsw) : 0;
-    const std::size_t d =
-        axes_.dvfs ? layout.gene(g, t, kFieldDvfs) % d_n : 0;
+    const std::size_t h = axes_.hw ? genes[kFieldHw] : 0;
+    const std::size_t s = axes_.ssw ? genes[kFieldSsw] : 0;
+    const std::size_t a = axes_.asw ? genes[kFieldAsw] : 0;
+    const std::size_t d = axes_.dvfs ? genes[kFieldDvfs] % d_n : 0;
     const std::size_t idx = ((h * s_n + s) * a_n + a) * d_n + d;
     resolved.pe = pe;
     resolved.impl_index = impl;
     resolved.config = reliability::ClrConfig{h, s, a, d};
-    resolved.metrics = metrics_[type][impl][pe_type][idx];
+    resolved.metrics = &metrics_[type][impl][pe_type][idx];
   } else {
     const auto& pts = points_[type];
-    const TaskDesignPoint& point =
-        pts[layout.gene(g, t, kFieldPoint) % pts.size()];
+    const TaskDesignPoint& point = pts[genes[kFieldPoint] % pts.size()];
     const auto& instances = pes_by_type_[point.pe_type];
-    resolved.pe =
-        instances[layout.gene(g, t, kFieldPeSel) % instances.size()];
+    resolved.pe = instances[genes[kFieldPeSel] % instances.size()];
     resolved.impl_index = point.impl_index;
     resolved.config = point.config;
-    resolved.metrics = point.metrics;
+    resolved.metrics = &point.metrics;
   }
   return resolved;
+}
+
+ClrMappingProblem::ResolvedTask ClrMappingProblem::resolve_task(
+    const MappingGenome& genome, std::size_t t) const {
+  const Choice choice = decode_task(genome, t);
+  return ResolvedTask{choice.pe, choice.impl_index, choice.config,
+                      *choice.metrics};
 }
 
 std::vector<sched::TaskDecision> ClrMappingProblem::decode(
@@ -297,8 +308,8 @@ std::vector<sched::TaskDecision> ClrMappingProblem::decode(
   const std::size_t n = app_.graph.num_tasks();
   std::vector<sched::TaskDecision> decisions(n);
   for (std::size_t t = 0; t < n; ++t) {
-    const ResolvedTask resolved = decode_task(genome, t);
-    decisions[t] = sched::TaskDecision{resolved.pe, resolved.metrics};
+    const Choice choice = decode_task(genome, t);
+    decisions[t] = sched::TaskDecision{choice.pe, *choice.metrics};
   }
   return decisions;
 }
@@ -308,7 +319,7 @@ std::vector<ClrMappingProblem::ResolvedTask> ClrMappingProblem::resolve(
   layout_->validate(genome);
   const std::size_t n = app_.graph.num_tasks();
   std::vector<ResolvedTask> resolved(n);
-  for (std::size_t t = 0; t < n; ++t) resolved[t] = decode_task(genome, t);
+  for (std::size_t t = 0; t < n; ++t) resolved[t] = resolve_task(genome, t);
   return resolved;
 }
 
@@ -318,7 +329,7 @@ std::vector<ClrMappingProblem::TaskChoice> ClrMappingProblem::report(
   const std::size_t n = app_.graph.num_tasks();
   std::vector<TaskChoice> choices(n);
   for (std::size_t t = 0; t < n; ++t) {
-    const ResolvedTask resolved = decode_task(genome, t);
+    const ResolvedTask resolved = resolve_task(genome, t);
     const std::size_t type = app_.graph.task(t).type;
     TaskChoice& choice = choices[t];
     choice.task_name = app_.graph.task(t).name;
@@ -334,6 +345,19 @@ std::vector<ClrMappingProblem::TaskChoice> ClrMappingProblem::report(
 
 sched::QosMetrics ClrMappingProblem::qos(const MappingGenome& genome) const {
   return sched::estimate_qos(app_, arch_, decode(genome), genome.order);
+}
+
+sched::QosMetrics ClrMappingProblem::qos(const MappingGenome& genome,
+                                         const sched::QosPlan& plan) const {
+  layout_->validate_genes(genome);
+  sched::QosWorkspace& ws = sched::QosWorkspace::local();
+  const std::size_t n = app_.graph.num_tasks();
+  ws.tasks.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const Choice choice = decode_task(genome, t);
+    ws.tasks[t] = sched::TaskRef{choice.pe, choice.metrics};
+  }
+  return plan.evaluate(ws, genome.order);
 }
 
 util::Key128 ClrMappingProblem::genome_key(const MappingGenome& genome) {
@@ -352,7 +376,7 @@ std::uint64_t ClrMappingProblem::genome_hash(const MappingGenome& genome) {
 
 moea::Evaluation ClrMappingProblem::evaluate_uncached(
     const MappingGenome& genome) const {
-  const sched::QosMetrics metrics = qos(genome);
+  const sched::QosMetrics metrics = qos(genome, plan_);
   moea::Evaluation eval;
   eval.objectives = objectives_.extract(metrics);
   eval.violation = spec_.violation(metrics);
@@ -439,11 +463,11 @@ std::optional<MappingGenome> ClrMappingProblem::repair_for_failures(
   std::vector<double> load(arch_.num_pes(), 0.0);
   std::vector<char> displaced(n, 0);
   for (std::size_t t = 0; t < n; ++t) {
-    const ResolvedTask resolved = decode_task(genome, t);
-    if (failed[resolved.pe]) {
+    const Choice choice = decode_task(genome, t);
+    if (failed[choice.pe]) {
       displaced[t] = 1;
     } else {
-      load[resolved.pe] += resolved.metrics.avg_exec_time_us;
+      load[choice.pe] += choice.metrics->avg_exec_time_us;
     }
   }
 
@@ -467,8 +491,8 @@ std::optional<MappingGenome> ClrMappingProblem::repair_for_failures(
         // the candidate PE type's DVFS cardinality, so decode_task is the
         // one source of truth for the candidate's execution time.
         layout_->set_gene(out, task, kFieldPeSel, sel);
-        const ResolvedTask candidate = decode_task(out, task);
-        const double finish = load[pe] + candidate.metrics.avg_exec_time_us;
+        const Choice candidate = decode_task(out, task);
+        const double finish = load[pe] + candidate.metrics->avg_exec_time_us;
         if (!found || finish < best_finish) {
           found = true;
           best_finish = finish;

@@ -4,6 +4,10 @@
 // decode the per-task decisions (implementation, PE, CLR configuration),
 // look the task-level metrics up in a precomputed Markov-model table, run
 // the list scheduler, and score the TABLE III metrics against the QoS spec.
+// The search path (evaluate) decodes into the thread's sched::QosWorkspace,
+// as (PE, metric-table pointer) pairs, and scores them with an evaluation
+// plan built at construction that computes only the fields the objectives
+// and the spec read.
 //
 // Two modes mirror the paper's search spaces:
 //  * kFullConfig (fcCLR)     — every CLR decision is a separate gene:
@@ -51,6 +55,9 @@ struct SystemObjectives {
 
   std::size_t count() const;
   std::vector<double> extract(const sched::QosMetrics& m) const;
+
+  /// The optional QosMetrics fields extract() reads.
+  sched::QosFieldMask fields_read() const;
 
   /// Weighted-sum scalarization of the active objectives (for single-
   /// objective consumers; weights must be positive for a meaningful scalar).
@@ -138,6 +145,13 @@ class ClrMappingProblem {
   /// Full QoS metrics of a genome (decode + schedule + TABLE III).
   sched::QosMetrics qos(const MappingGenome& genome) const;
 
+  /// QoS of a genome through `plan`, a plan over this problem's application
+  /// and architecture: the fields it selects, each bit-equal to qos()'s.
+  /// Decodes into the calling thread's sched::QosWorkspace, so a warm call
+  /// allocates nothing. The genome's order is checked by the plan.
+  sched::QosMetrics qos(const MappingGenome& genome,
+                        const sched::QosPlan& plan) const;
+
   /// 128-bit content key of a genome (schedule permutation + genes), the
   /// fitness-cache key. Deterministic across runs; genomes differing in any
   /// gene or in the permutation hash differently.
@@ -147,7 +161,8 @@ class ClrMappingProblem {
   /// within-batch deduplication hash handed to moea::Nsga2Ops.
   static std::uint64_t genome_hash(const MappingGenome& genome);
 
-  /// NSGA-II fitness: active objectives + QoS-spec violation. Memoized per
+  /// NSGA-II fitness: active objectives + QoS-spec violation, through the
+  /// problem's plan (the fields objectives() and spec() read). Memoized per
   /// problem instance through a thread-safe genome-keyed cache when caching
   /// is enabled (util::cache_capacity() at construction time > 0); fitness
   /// is a pure function of the genome, so cached and uncached runs are
@@ -203,7 +218,15 @@ class ClrMappingProblem {
 
   moea::Evaluation evaluate_uncached(const MappingGenome& genome) const;
 
-  ResolvedTask decode_task(const MappingGenome& genome, std::size_t t) const;
+  /// One task's decoded choice, pointing into the metric tables.
+  struct Choice {
+    std::size_t pe = 0;
+    std::size_t impl_index = 0;
+    reliability::ClrConfig config;
+    const reliability::TaskMetrics* metrics = nullptr;
+  };
+  Choice decode_task(const MappingGenome& genome, std::size_t t) const;
+  ResolvedTask resolve_task(const MappingGenome& genome, std::size_t t) const;
 
   app::Application app_;
   platform::Architecture arch_;
@@ -227,6 +250,9 @@ class ClrMappingProblem {
 
   /// pfCLR: the tDSE Pareto points per task type.
   std::vector<std::vector<TaskDesignPoint>> points_;
+
+  /// evaluate()'s plan: the fields objectives_ and spec_ read.
+  sched::QosPlan plan_;
 
   /// Genome-keyed fitness memo (null only before construction finishes; a
   /// capacity of 0 builds a disabled pass-through cache). MemoCache is

@@ -15,7 +15,10 @@ ResilientProblem::ResilientProblem(app::Application application,
                                    sched::QosSpec spec)
     : resilience_(std::move(resilience)),
       nominal_(std::move(application), std::move(architecture),
-               std::move(analyzer), objectives, spec) {
+               std::move(analyzer), objectives, spec),
+      plan_(nominal_.application(), nominal_.architecture(),
+            objectives.fields_read() | spec.fields_read() |
+                resilience_.degraded_spec.fields_read()) {
   const std::size_t num_pes = nominal_.architecture().num_pes();
   resilience_.validate(num_pes);
   failure_probs_ = pe_failure_probabilities(nominal_.architecture(),
@@ -51,7 +54,7 @@ std::vector<ResilientProblem::DegradedMode> ResilientProblem::degraded_modes(
 
 moea::Evaluation ResilientProblem::evaluate_uncached(
     const MappingGenome& genome) const {
-  const sched::QosMetrics nominal_qos = nominal_.qos(genome);
+  const sched::QosMetrics nominal_qos = nominal_.qos(genome, plan_);
   moea::Evaluation eval;
   eval.objectives = nominal_.objectives().extract(nominal_qos);
   eval.violation = nominal_.spec().violation(nominal_qos);
@@ -81,7 +84,8 @@ moea::Evaluation ResilientProblem::evaluate_uncached(
     }
     worst_degraded =
         std::max(worst_degraded,
-                 resilience_.degraded_spec.violation(nominal_.qos(*repaired)));
+                 resilience_.degraded_spec.violation(
+                     nominal_.qos(*repaired, plan_)));
   }
   eval.violation += worst_degraded;
   return eval;

@@ -105,6 +105,9 @@ class ResilientProblem {
 
   ResilienceSpec resilience_;
   ClrMappingProblem nominal_;
+  /// evaluate()'s plan: the fields the nominal objectives, the nominal spec
+  /// and the degraded spec read.
+  sched::QosPlan plan_;
   std::vector<double> failure_probs_;
   std::vector<std::vector<char>> failure_sets_;
   std::vector<char> spare_mask_;

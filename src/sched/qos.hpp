@@ -1,5 +1,11 @@
 // System-level QoS estimation (TABLE III) and the QoS specification /
 // constraint model of the optimization problem (Eq. 5).
+//
+// One evaluation path computes every QosMetrics: a QosPlan, built once per
+// (application, architecture, field mask), scores decisions held in a
+// reusable QosWorkspace. The search builds its plan with the fields its
+// objectives and spec read; estimate_qos builds one per call with every
+// field, for reports.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +39,21 @@ struct QosMetrics {
   double makespan_stddev_us = 0.0;
 };
 
+/// QosMetrics fields that cost work of their own, as bits of a
+/// QosFieldMask. makespan_us, mttf_hours and memory_overflow have no bit:
+/// they are always computed, because the schedule and the lifetime stress
+/// sums they come from carry the permutation, cycle and "no task mapped"
+/// checks. functional_rel and error_prob share one bit.
+enum QosField : unsigned {
+  kQosFunctionalRel = 1u << 0,   ///< functional_rel and error_prob
+  kQosEnergy = 1u << 1,          ///< energy_uj
+  kQosPeakPower = 1u << 2,       ///< peak_power_w (sorts 2T events)
+  kQosMakespanStddev = 1u << 3,  ///< makespan_stddev_us (critical-path walk)
+};
+using QosFieldMask = unsigned;
+inline constexpr QosFieldMask kAllQosFields =
+    kQosFunctionalRel | kQosEnergy | kQosPeakPower | kQosMakespanStddev;
+
 /// P[makespan > deadline] under a normal approximation of the makespan law
 /// (mean makespan_us, stddev makespan_stddev_us). Degenerates to a step
 /// function when the stddev is zero. Throws for non-positive deadlines.
@@ -57,8 +78,12 @@ struct QosSpec {
 
   bool feasible(const QosMetrics& m) const { return violation(m) == 0.0; }
 
+  /// The optional QosMetrics fields violation() reads under this spec.
+  QosFieldMask fields_read() const;
+
   bool operator==(const QosSpec&) const = default;
 };
+
 
 /// One fully resolved task decision: where the task runs and what its
 /// task-level metrics are under the chosen implementation + CLR config.
@@ -67,8 +92,62 @@ struct TaskDecision {
   reliability::TaskMetrics metrics;
 };
 
+/// One task's decision by reference: where it runs and its task-level
+/// metrics, owned by the caller (a metric table entry or a TaskDecision).
+struct TaskRef {
+  std::size_t pe = 0;
+  const reliability::TaskMetrics* metrics = nullptr;
+};
+
+/// Per-call buffers of QosPlan::evaluate, reused across calls: once grown to
+/// the task and PE counts, an evaluation allocates nothing. `tasks` is the
+/// input, one entry per task id; the rest is scratch.
+struct QosWorkspace {
+  std::vector<TaskRef> tasks;
+  ScheduleWorkspace schedule;
+  std::vector<double> pe_stress;      ///< sum of ExT/MTTF per PE
+  std::vector<double> pe_memory_kb;   ///< footprint per PE
+  std::vector<PowerEvent> events;     ///< peak-power sweep
+  std::vector<std::size_t> pe_begin;  ///< critical-path walk: per-PE rows
+  std::vector<std::size_t> by_pe;     ///< of task ids in placement order
+
+  /// The calling thread's workspace (thread_local, so the parallel
+  /// evaluation engine's workers never share one).
+  static QosWorkspace& local();
+};
+
+/// Everything about an (application, architecture) pair that QoS
+/// estimation reads and no decision changes, computed once: the
+/// scheduling graph, the criticality weights zeta_t, the period, per-PE
+/// memory capacities, and the fields to compute.
+class QosPlan {
+ public:
+  QosPlan(const app::Application& application,
+          const platform::Architecture& architecture, QosFieldMask fields);
+
+  /// TABLE III metrics of the decisions in `ws.tasks` under
+  /// `priority_order`: makespan_us, mttf_hours, memory_overflow and the
+  /// plan's `fields`; every other field reads NaN. Each value is bit-equal
+  /// to what estimate_qos computes for it. `schedule_out`, when set,
+  /// receives the realized schedule. Throws std::invalid_argument like
+  /// estimate_qos: decision count mismatch, the list-scheduling checks,
+  /// a non-positive task MTTF, no task mapped to any PE.
+  QosMetrics evaluate(QosWorkspace& ws,
+                      const std::vector<std::size_t>& priority_order,
+                      Schedule* schedule_out = nullptr) const;
+
+ private:
+  double makespan_stddev(QosWorkspace& ws) const;
+
+  ScheduleGraph graph_;
+  std::vector<double> zeta_;
+  std::vector<double> memory_capacity_kb_;  ///< per PE; <= 0: unconstrained
+  double period_us_;
+  QosFieldMask fields_;
+};
+
 /// Estimate all TABLE III metrics for an application under per-task
-/// decisions and a schedule priority order.
+/// decisions and a schedule priority order (a QosPlan with every field).
 ///
 /// Lifetime: MTTF(t,i,p) already lives in metrics.mttf_hours; per PE,
 /// MTTFp = Papp / sum_{t on p}(AvgExT_t / MTTF_t) and Lapp = min over PEs

@@ -196,7 +196,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   JsonValue parse_document() {
-    JsonValue v = parse_value();
+    JsonValue v = parse_value(0);
     skip_whitespace();
     if (pos_ != text_.size()) fail("trailing characters");
     return v;
@@ -235,11 +235,17 @@ class Parser {
     return false;
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the arrays and objects around this value.
+  JsonValue parse_value(std::size_t depth) {
     skip_whitespace();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth == kMaxJsonDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+             " levels");
+      }
+      return c == '{' ? parse_object(depth + 1) : parse_array(depth + 1);
+    }
     if (c == '"') return JsonValue(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -256,7 +262,7 @@ class Parser {
     return parse_number();
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(std::size_t depth) {
     expect('{');
     JsonObject obj;
     skip_whitespace();
@@ -269,7 +275,7 @@ class Parser {
       std::string key = parse_string();
       skip_whitespace();
       expect(':');
-      obj.emplace(std::move(key), parse_value());
+      obj.emplace(std::move(key), parse_value(depth));
       skip_whitespace();
       const char c = peek();
       if (c == ',') {
@@ -285,7 +291,7 @@ class Parser {
     return JsonValue(std::move(obj));
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
     expect('[');
     JsonArray arr;
     skip_whitespace();
@@ -294,7 +300,7 @@ class Parser {
       return JsonValue(std::move(arr));
     }
     while (true) {
-      arr.push_back(parse_value());
+      arr.push_back(parse_value(depth));
       skip_whitespace();
       const char c = peek();
       if (c == ',') {

@@ -73,8 +73,14 @@ class JsonValue {
 /// Serialize with 2-space indentation (stable, diff-friendly).
 std::string json_serialize(const JsonValue& value);
 
+/// Deepest array/object nesting json_parse accepts. The parser recurses once
+/// per level, so an unbounded depth would let one hostile document (a POST
+/// body of 200,000 '[') overflow the stack.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parse a complete JSON document; throws std::runtime_error with a
-/// character offset on malformed input (including trailing garbage).
+/// character offset on malformed input (including trailing garbage and
+/// nesting deeper than kMaxJsonDepth).
 JsonValue json_parse(const std::string& text);
 
 }  // namespace clrearly::util

@@ -557,6 +557,23 @@ TEST(ServiceTest, OutOfRangeTaskTypeIs400AndTheDaemonKeepsServing) {
   EXPECT_FALSE(fetch_result(service, id).at("front").as_array().empty());
 }
 
+TEST(ServiceTest, DeeplyNestedBodyIs400AndTheDaemonKeepsServing) {
+  // 200,000 '[' once overflowed the recursive JSON parser's stack and killed
+  // the daemon; the parser's depth limit turns it into a parse error.
+  ServiceOptions options;
+  options.workers = 1;
+  DseService service(options);
+  const HttpResponse rejected = service.handle(
+      make_request("POST", "/v1/jobs", std::string(200000, '[')));
+  EXPECT_EQ(rejected.status, 400) << rejected.body;
+  EXPECT_NE(rejected.body.find("nesting deeper than"), std::string::npos)
+      << rejected.body;
+
+  const std::string id =
+      run_to_completion(service, small_job_body("fcclr", 3, 2));
+  EXPECT_FALSE(fetch_result(service, id).at("front").as_array().empty());
+}
+
 TEST(ServiceTest, ErrorPaths) {
   ServiceOptions options;
   options.workers = 1;

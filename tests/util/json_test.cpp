@@ -137,6 +137,51 @@ TEST(JsonParseTest, ReportsOffset) {
   }
 }
 
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonParseTest, NestingUpToTheLimitParses) {
+  JsonValue v = json_parse(nested_arrays(kMaxJsonDepth));
+  std::size_t depth = 0;
+  while (v.is_array()) {
+    ++depth;
+    if (v.as_array().empty()) break;
+    v = JsonValue(v.as_array()[0]);
+  }
+  EXPECT_EQ(depth, kMaxJsonDepth);
+  EXPECT_NO_THROW(json_parse(std::string(kMaxJsonDepth - 1, '[') + "{}" +
+                             std::string(kMaxJsonDepth - 1, ']')));
+}
+
+TEST(JsonParseTest, NestingPastTheLimitThrowsWithItsOffset) {
+  for (const std::string& deep :
+       {nested_arrays(kMaxJsonDepth + 1),
+        std::string(kMaxJsonDepth, '[') + "{}" +
+            std::string(kMaxJsonDepth, ']'),
+        std::string(kMaxJsonDepth / 2, '[') + "{\"a\":" +
+            nested_arrays(kMaxJsonDepth) + "}" +
+            std::string(kMaxJsonDepth / 2, ']')}) {
+    try {
+      json_parse(deep);
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      const std::string expected = "json_parse: nesting deeper than " +
+                                   std::to_string(kMaxJsonDepth) + " levels";
+      EXPECT_EQ(what.rfind(expected, 0), 0u) << what;
+      EXPECT_NE(what.find("at offset"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(JsonParseTest, HostileNestingThrowsInsteadOfOverflowingTheStack) {
+  // 200,000 unclosed '[' overflowed the recursive parser's stack before the
+  // depth limit; now the 257th level is refused.
+  EXPECT_THROW(json_parse(std::string(200000, '[')), std::runtime_error);
+  EXPECT_THROW(json_parse(nested_arrays(200000)), std::runtime_error);
+}
+
 // --- Round trips -------------------------------------------------------------------
 
 TEST(JsonRoundTripTest, ComplexDocument) {
