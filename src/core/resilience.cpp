@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/memo_cache.hpp"
-
 namespace clrearly::core {
 
 ResilientProblem::ResilientProblem(app::Application application,
@@ -27,8 +25,6 @@ ResilientProblem::ResilientProblem(app::Application application,
       enumerate_failure_sets(num_pes, resilience_.max_failures);
   spare_mask_.assign(num_pes, 0);
   for (std::size_t pe : resilience_.spare_pes) spare_mask_[pe] = 1;
-  fitness_cache_ =
-      std::make_unique<FitnessCache>(util::cache_capacity(), "fitness");
 }
 
 std::vector<ResilientProblem::DegradedMode> ResilientProblem::degraded_modes(
@@ -52,7 +48,7 @@ std::vector<ResilientProblem::DegradedMode> ResilientProblem::degraded_modes(
   return modes;
 }
 
-moea::Evaluation ResilientProblem::evaluate_uncached(
+moea::Evaluation ResilientProblem::evaluate(
     const MappingGenome& genome) const {
   const sched::QosMetrics nominal_qos = nominal_.qos(genome, plan_);
   moea::Evaluation eval;
@@ -89,20 +85,6 @@ moea::Evaluation ResilientProblem::evaluate_uncached(
   }
   eval.violation += worst_degraded;
   return eval;
-}
-
-moea::Evaluation ResilientProblem::evaluate(
-    const MappingGenome& genome) const {
-  if (!fitness_cache_ || !fitness_cache_->enabled()) {
-    return evaluate_uncached(genome);
-  }
-  return fitness_cache_->get_or_compute(
-      ClrMappingProblem::genome_key(genome),
-      [&] { return evaluate_uncached(genome); });
-}
-
-util::CacheStats ResilientProblem::fitness_cache_stats() const {
-  return fitness_cache_ ? fitness_cache_->stats() : util::CacheStats{};
 }
 
 moea::Nsga2Ops<MappingGenome> ResilientProblem::ops(

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -69,12 +68,11 @@ class ResilientProblem {
   /// k-resilient fitness: nominal objectives; violation = nominal spec
   /// violation + spare-occupancy penalty + worst degraded-mode violation
   /// (an unrepairable set contributes 1 + its failure count, dominating any
-  /// normalized QoS overshoot). Memoized like ClrMappingProblem::evaluate;
-  /// a pure function of the genome, so cached/uncached and serial/parallel
-  /// runs are bit-identical.
+  /// normalized QoS overshoot). Like ClrMappingProblem::evaluate, a pure
+  /// function of the genome computed on every call, so serial and parallel
+  /// runs are bit-identical. docs/RESILIENCE.md gives the measurements
+  /// behind not memoizing it.
   moea::Evaluation evaluate(const MappingGenome& genome) const;
-
-  util::CacheStats fitness_cache_stats() const;
 
   /// The nominal problem's ops with only `evaluate` overridden — layout and
   /// variation operators are untouched, so the NSGA-II determinism and
@@ -98,11 +96,6 @@ class ResilientProblem {
   AnalyticPrediction analytic_prediction(const MappingGenome& genome) const;
 
  private:
-  using FitnessCache =
-      util::MemoCache<util::Key128, moea::Evaluation, util::Key128Hash>;
-
-  moea::Evaluation evaluate_uncached(const MappingGenome& genome) const;
-
   ResilienceSpec resilience_;
   ClrMappingProblem nominal_;
   /// evaluate()'s plan: the fields the nominal objectives, the nominal spec
@@ -111,7 +104,6 @@ class ResilientProblem {
   std::vector<double> failure_probs_;
   std::vector<std::vector<char>> failure_sets_;
   std::vector<char> spare_mask_;
-  std::unique_ptr<FitnessCache> fitness_cache_;
 };
 
 }  // namespace clrearly::core

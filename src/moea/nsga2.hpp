@@ -12,10 +12,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -106,17 +104,6 @@ struct Nsga2Ops {
       crossover;
   std::function<void(Genome&, util::Rng&)> mutate;
   std::function<Evaluation(const Genome&)> evaluate;
-
-  /// Optional content hash + equality. When both are provided, each
-  /// evaluation batch is deduplicated before dispatch: genomes `equal` to an
-  /// earlier batch member reuse its evaluation instead of being evaluated
-  /// again (hash groups candidates, equality confirms them, so hash
-  /// collisions merely cost a comparison). Evaluation must be a pure
-  /// function of the genome — the same contract the parallel evaluation
-  /// engine already relies on — which makes deduplicated runs bit-identical
-  /// to exhaustive ones.
-  std::function<std::uint64_t(const Genome&)> hash;
-  std::function<bool(const Genome&, const Genome&)> equal;
 };
 
 template <typename Genome>
@@ -236,66 +223,23 @@ void update_archive(std::vector<EvaluatedGenome<Genome>>& archive,
 /// pool) and append them to `population` and the parallel `points` /
 /// `violations` arrays. Evaluation is pure — it never touches the RNG — so
 /// each result lands in its own slot and the outcome is bit-identical to a
-/// serial evaluation loop at any thread count.
-///
-/// When ops.hash/ops.equal are provided the batch is deduplicated first:
-/// only the first occurrence of each distinct genome is dispatched and its
-/// evaluation is fanned back out to the duplicates (offspring batches of a
-/// converged GA repeat genomes heavily). `evaluations` always counts the
-/// *logical* evaluations (`genomes.size()`), so evaluation budgets and
-/// determinism checks are unaffected by deduplication or caching.
+/// serial evaluation loop at any thread count. Every genome is evaluated,
+/// duplicates included, so `evaluations` grows by `genomes.size()`.
 template <typename Genome>
 void evaluate_append(const Nsga2Ops<Genome>& ops, std::vector<Genome> genomes,
                      std::vector<EvaluatedGenome<Genome>>& population,
                      std::vector<Objectives>& points,
                      std::vector<double>& violations,
                      std::size_t& evaluations) {
-  // owner[i] == index of the first batch member equal to genomes[i].
-  std::vector<std::size_t> owner(genomes.size());
-  std::vector<std::size_t> unique;
-  unique.reserve(genomes.size());
-  if (ops.hash && ops.equal) {
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
-    buckets.reserve(genomes.size());
-    for (std::size_t i = 0; i < genomes.size(); ++i) {
-      std::vector<std::size_t>& bucket = buckets[ops.hash(genomes[i])];
-      owner[i] = i;
-      for (std::size_t j : bucket) {
-        if (ops.equal(genomes[j], genomes[i])) {
-          owner[i] = j;
-          break;
-        }
-      }
-      if (owner[i] == i) {
-        bucket.push_back(i);
-        unique.push_back(i);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < genomes.size(); ++i) {
-      owner[i] = i;
-      unique.push_back(i);
-    }
-  }
-
   std::vector<Evaluation> evals(genomes.size());
-  util::parallel_for(unique.size(), [&](std::size_t k) {
-    const std::size_t i = unique[k];
+  util::parallel_for(genomes.size(), [&](std::size_t i) {
     evals[i] = ops.evaluate(genomes[i]);
   });
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
-    if (owner[i] != i) evals[i] = evals[owner[i]];
-  }
   evaluations += genomes.size();
-  {
-    // Registry lookup once per process; per batch it's two striped adds.
-    static util::Counter& evals_metric =
-        util::metric_counter("nsga2.evaluations");
-    static util::Counter& dedupe_metric =
-        util::metric_counter("nsga2.dedupe_hits");
-    evals_metric.add(genomes.size());
-    dedupe_metric.add(genomes.size() - unique.size());
-  }
+  // Registry lookup once per process; per batch it's one striped add.
+  static util::Counter& evals_metric =
+      util::metric_counter("nsga2.evaluations");
+  evals_metric.add(genomes.size());
   for (std::size_t i = 0; i < genomes.size(); ++i) {
     points.push_back(evals[i].objectives);
     violations.push_back(evals[i].violation);

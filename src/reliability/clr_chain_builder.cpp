@@ -213,9 +213,11 @@ struct ChainCacheState {
 
 /// The process-wide chain-solve cache, rebuilt (and thereby cleared) when
 /// util::cache_capacity() changes — same contract as the global thread pool:
-/// reconfigure between runs, not while solves are in flight.
+/// reconfigure between runs, not while solves are in flight. The holder is
+/// leaked like the cache registry: the --metrics-out exit hook, registered
+/// before the first chain solve builds it, must still find the cache live.
 ChainCache* chain_cache() {
-  static ChainCacheState state;
+  static ChainCacheState& state = *new ChainCacheState();
   const std::size_t capacity = util::cache_capacity();
   std::lock_guard<std::mutex> lock(state.mutex);
   if (!state.cache || state.built_capacity != capacity) {

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/scenario.hpp"
-#include "util/memo_cache.hpp"
+#include "reliability/clr_chain_builder.hpp"
 #include "util/metrics.hpp"
 
 namespace clrearly::server {
@@ -57,24 +57,13 @@ util::JsonValue to_json(const ProgressEvent& event) {
 
 util::JsonValue to_json(const CacheDelta& delta) {
   return util::JsonValue(util::JsonObject{
-      {"fitness_hits", static_cast<double>(delta.fitness_hits)},
-      {"fitness_misses", static_cast<double>(delta.fitness_misses)},
       {"chain_hits", static_cast<double>(delta.chain_hits)},
       {"chain_misses", static_cast<double>(delta.chain_misses)}});
 }
 
 CacheDelta cache_counters_now() {
-  CacheDelta now;
-  for (const auto& [name, stats] : util::lifetime_cache_stats()) {
-    if (name == "fitness") {
-      now.fitness_hits = stats.hits;
-      now.fitness_misses = stats.misses;
-    } else if (name == "chain_solve") {
-      now.chain_hits = stats.hits;
-      now.chain_misses = stats.misses;
-    }
-  }
-  return now;
+  const util::CacheStats stats = reliability::chain_cache_stats();
+  return CacheDelta{stats.hits, stats.misses};
 }
 
 // ------------------------------------------------------------------ record
@@ -259,7 +248,7 @@ SessionCache::Lease SessionCache::acquire(const io::JobSpec& spec) {
   }
   // Evict LRU sessions down to the bound — but only unpinned ones: a
   // session some job still runs against must stay addressable so same-key
-  // jobs keep hitting its fitness cache. When every session is pinned the
+  // jobs keep reusing its problems. When every session is pinned the
   // pool grows past max_sessions_ transiently and shrinks on later
   // acquires.
   while (sessions_.size() >= max_sessions_) {
@@ -336,8 +325,6 @@ void run_job(JobRecord& job, ModelSession& session) {
     JobResult result;
     result.outcome = std::move(outcome);
     const CacheDelta after = cache_counters_now();
-    result.cache.fitness_hits = after.fitness_hits - before.fitness_hits;
-    result.cache.fitness_misses = after.fitness_misses - before.fitness_misses;
     result.cache.chain_hits = after.chain_hits - before.chain_hits;
     result.cache.chain_misses = after.chain_misses - before.chain_misses;
     result.wall_seconds =

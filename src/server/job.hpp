@@ -2,15 +2,15 @@
 // ModelSession per distinct model key, and the runner that executes a job
 // against its session.
 //
-// Sessions are the cross-request cache-sharing mechanism. A ModelSession
-// owns a DseMethodology plus lazily built fcCLR/pfCLR problem instances;
-// every job whose JobSpec::model_key() matches runs over the *same* problem
-// objects, so the memoized genome-fitness caches (and, at session build
-// time, the process-wide chain-solve cache) stay warm across requests.
-// Because fitness is a pure function of the genome and the flows take the
-// identical code path as the offline CLI, shared sessions change throughput,
-// never results — an HTTP job is bit-identical to `clrearly dse` with the
-// same spec and seed.
+// Sessions are the cross-request sharing mechanism. A ModelSession owns a
+// DseMethodology plus lazily built fcCLR/pfCLR problem instances; every job
+// whose JobSpec::model_key() matches runs over the *same* problem objects,
+// so the metric tables and the tDSE run behind them are built once per
+// model, not once per request (a rebuild after eviction still finds its
+// chain solves in the process-wide chain-solve cache). Because fitness is a
+// pure function of the genome and the flows take the identical code path as
+// the offline CLI, shared sessions change throughput, never results — an
+// HTTP job is bit-identical to `clrearly dse` with the same spec and seed.
 #pragma once
 
 #include <atomic>
@@ -63,21 +63,19 @@ struct ProgressEvent {
 
 util::JsonValue to_json(const ProgressEvent& event);
 
-/// Hit/miss deltas of the two DSE memo caches over one job's execution,
-/// measured from lifetime_cache_stats(). Under concurrent jobs the deltas
-/// include the neighbours' traffic (the counters are process-wide); they are
-/// reported for observability, and the smoke tests that assert on them run
-/// jobs back-to-back where the attribution is exact.
+/// Hit/miss deltas of the chain-solve cache over one job's execution,
+/// measured from reliability::chain_cache_stats(). Under concurrent jobs the
+/// deltas include the neighbours' traffic (the counters are process-wide);
+/// they are reported for observability, and the smoke tests that assert on
+/// them run jobs back-to-back where the attribution is exact.
 struct CacheDelta {
-  std::uint64_t fitness_hits = 0;
-  std::uint64_t fitness_misses = 0;
   std::uint64_t chain_hits = 0;
   std::uint64_t chain_misses = 0;
 };
 
 util::JsonValue to_json(const CacheDelta& delta);
 
-/// Snapshot the two cache counters' current totals (for delta computation).
+/// Snapshot the chain cache's current totals (for delta computation).
 CacheDelta cache_counters_now();
 
 /// Everything a finished job reports.
@@ -164,8 +162,8 @@ class ModelSession {
 
   /// Pin refcount: a session with active jobs must never be evicted from
   /// the SessionCache index — a same-key job submitted meanwhile would
-  /// otherwise rebuild a second session and lose the shared fitness cache
-  /// (and the per-job cache-delta assertions built on it).
+  /// otherwise build a second copy of the same tables (and tDSE run) beside
+  /// the one still in use.
   void pin() noexcept { pins_.fetch_add(1, std::memory_order_relaxed); }
   void unpin() noexcept { pins_.fetch_sub(1, std::memory_order_relaxed); }
   int pins() const noexcept { return pins_.load(std::memory_order_relaxed); }
@@ -188,7 +186,7 @@ class ModelSession {
 /// stays in the index (eviction considers only unpinned sessions, growing
 /// past max_sessions transiently when every session is busy), so a running
 /// job's session is never rebuilt mid-run and same-key jobs keep sharing
-/// one fitness cache.
+/// one set of built problems.
 class SessionCache {
  public:
   /// RAII pin on a session. Movable; releases the pin on destruction.

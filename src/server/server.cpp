@@ -81,7 +81,8 @@ void HttpServer::serve_connection(int fd) {
         }
         return write_chunk(fd, frame);
       };
-      const auto error = service_.stream_events_sse(*request, sink);
+      const auto error =
+          service_.stream_events_sse(*request, sink, &stopping_);
       if (error.has_value()) {
         write_response(fd, *error, /*keep_alive=*/false);
       } else if (headers_sent) {

@@ -316,7 +316,8 @@ bool DseService::wants_sse(const HttpRequest& request) {
 }
 
 std::optional<HttpResponse> DseService::stream_events_sse(
-    const HttpRequest& request, const EventSink& sink) {
+    const HttpRequest& request, const EventSink& sink,
+    const std::atomic<bool>* stop) {
   const JobPath job_path = split_job_path(request.path);
   const std::shared_ptr<JobRecord> job = queue_.find(job_path.id);
   if (job == nullptr) {
@@ -374,7 +375,11 @@ std::optional<HttpResponse> DseService::stream_events_sse(
       sink(frame);
       break;
     }
-    if (shutdown_requested()) break;  // drain: close streams cooperatively
+    // Drain: close streams cooperatively.
+    if (shutdown_requested() ||
+        (stop != nullptr && stop->load(std::memory_order_relaxed))) {
+      break;
+    }
     if (since_heartbeat >= kHeartbeatMs) {
       if (!sink(": heartbeat\n\n")) break;
       since_heartbeat = 0;

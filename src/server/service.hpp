@@ -87,9 +87,14 @@ class DseService {
   /// stream when the job reaches a terminal state. Returns an error
   /// response *before any frame is written* when the request is not
   /// streamable (unknown job, bad cursor), nullopt after a completed
-  /// stream. Ends early (nullopt) on client loss or service shutdown.
-  std::optional<HttpResponse> stream_events_sse(const HttpRequest& request,
-                                                const EventSink& sink);
+  /// stream. Ends early (nullopt), within one 25 ms poll slice, when the
+  /// client is gone, when POST /v1/shutdown was received
+  /// (shutdown_requested()) or when `*stop` is set — the HTTP front passes
+  /// its own stop flag, so HttpServer::stop() never waits on a stream.
+  /// DseService::shutdown() alone does not end a stream.
+  std::optional<HttpResponse> stream_events_sse(
+      const HttpRequest& request, const EventSink& sink,
+      const std::atomic<bool>* stop = nullptr);
 
   /// True once POST /v1/shutdown was received (the serving loop polls this).
   bool shutdown_requested() const noexcept { return shutdown_.load(); }

@@ -158,11 +158,11 @@ ArgParser& add_log_level_option(ArgParser& parser, LogLevel default_level) {
 
 ArgParser& add_cache_options(ArgParser& parser) {
   parser.option("cache-size",
-                "memoization-cache capacity in entries for the chain-solve "
-                "and fitness caches (0 disables; overrides CLREARLY_CACHE)",
+                "capacity in entries of the chain-solve cache (0 disables; "
+                "overrides CLREARLY_CACHE)",
                 "");
   return parser.flag("no-cache",
-                     "disable the memoization caches (same as --cache-size 0)");
+                     "disable the chain-solve cache (same as --cache-size 0)");
 }
 
 ArgParser& add_island_options(ArgParser& parser) {

@@ -79,8 +79,8 @@ ArgParser& add_log_level_option(ArgParser& parser,
                                 LogLevel default_level = LogLevel::Info);
 
 /// Declare the shared memoization-cache options: --cache-size <entries>
-/// (capacity of the chain-solve and fitness caches; 0 disables) and
-/// --no-cache (shorthand for --cache-size 0).
+/// (capacity of the chain-solve cache; 0 disables) and --no-cache
+/// (shorthand for --cache-size 0).
 ArgParser& add_cache_options(ArgParser& parser);
 
 /// Apply the declared cache options via set_cache_capacity(): --no-cache

@@ -16,10 +16,6 @@ struct Registry {
   std::uint64_t next_token = 1;
   std::map<std::uint64_t, std::pair<std::string, std::function<CacheStats()>>>
       caches;
-  // Final counters of destroyed named caches, summed per name — the
-  // lifetime_cache_stats() tail. Tokens remember their name so unregister
-  // can fold without re-threading it through the destructor.
-  std::map<std::string, CacheStats> retired;
 };
 
 Registry& registry() {
@@ -67,47 +63,26 @@ std::uint64_t register_cache(std::string name,
   return token;
 }
 
-void unregister_cache(std::uint64_t token, CacheStats final_stats) {
-  // The storage dies with the cache; only the event counters outlive it.
-  final_stats.entries = 0;
-  final_stats.capacity = 0;
+void unregister_cache(std::uint64_t token) {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  const auto it = reg.caches.find(token);
-  if (it == reg.caches.end()) return;
-  reg.retired[it->second.first] += final_stats;
-  reg.caches.erase(it);
+  reg.caches.erase(token);
 }
 
 }  // namespace detail
 
-namespace {
-
-std::vector<std::pair<std::string, CacheStats>> collect_cache_stats(
-    bool include_retired) {
+std::vector<std::pair<std::string, CacheStats>> aggregate_cache_stats() {
   // The providers run under the registry lock: a cache unregisters (under
   // the same lock) before its storage dies, so every provider called here
   // is alive. A provider takes its cache's shard locks, and registry ->
-  // shard is the only nesting anywhere — ~MemoCache computes stats()
-  // before it takes the registry lock.
+  // shard is the only nesting anywhere.
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   std::map<std::string, CacheStats> by_name;
-  if (include_retired) by_name = reg.retired;
   for (const auto& [token, entry] : reg.caches) {
     by_name[entry.first] += entry.second();
   }
   return {by_name.begin(), by_name.end()};
-}
-
-}  // namespace
-
-std::vector<std::pair<std::string, CacheStats>> aggregate_cache_stats() {
-  return collect_cache_stats(/*include_retired=*/false);
-}
-
-std::vector<std::pair<std::string, CacheStats>> lifetime_cache_stats() {
-  return collect_cache_stats(/*include_retired=*/true);
 }
 
 void set_cache_capacity(std::size_t capacity) {

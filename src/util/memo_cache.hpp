@@ -1,13 +1,14 @@
 // Thread-safe sharded memoization cache for the DSE hot paths.
 //
-// The multi-stage DSE re-derives the same pure results over and over:
-// NSGA-II re-encounters duplicate genomes across generations, and distinct
-// genomes share identical per-task CLR configurations whose absorbing-chain
-// solves are recomputed from scratch.  MemoCache turns those recomputations
-// into lookups while guaranteeing bit-identical results: values are pure
-// functions of their keys, a hit returns a stored copy of exactly what the
-// miss path would compute, and a (harmless) false miss only costs a
-// recompute — the cache can change throughput, never results.
+// The multi-stage DSE re-derives the same pure results over and over: tDSE,
+// every metric-table build and every served session rebuild ask for the
+// same absorbing-chain solves of the same CLR configurations.  MemoCache
+// (the process-wide chain-solve cache is its one production instance) turns
+// those recomputations into lookups while guaranteeing bit-identical
+// results: values are pure functions of their keys, a hit returns a stored
+// copy of exactly what the miss path would compute, and a (harmless) false
+// miss only costs a recompute — the cache can change throughput, never
+// results.
 //
 // Structure: the key space is split across N shards, each an open-addressing
 // table (linear probing, bounded probe window) under its own mutex.  The
@@ -154,10 +155,8 @@ std::size_t parse_cache_env(const char* text) noexcept;
 std::uint64_t register_cache(std::string name,
                              std::function<CacheStats()> stats);
 
-/// Remove the cache from the live registry and fold `final_stats` (with
-/// entries/capacity zeroed — the storage is gone) into the retained
-/// per-name totals that lifetime_cache_stats() reports. Thread-safe.
-void unregister_cache(std::uint64_t token, CacheStats final_stats);
+/// Remove the cache from the registry. Thread-safe.
+void unregister_cache(std::uint64_t token);
 
 inline std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;
@@ -167,18 +166,10 @@ inline std::size_t next_pow2(std::size_t n) {
 
 }  // namespace detail
 
-/// Counters of every live named cache, summed per name (several
-/// ClrMappingProblems each own a "fitness" cache; reporting wants the
-/// union). Sorted by name for stable output.
+/// Counters of every live named cache, summed per name (same-named caches
+/// report their union). Sorted by name for stable output. A destroyed
+/// cache's counters go with it.
 std::vector<std::pair<std::string, CacheStats>> aggregate_cache_stats();
-
-/// Like aggregate_cache_stats(), plus the final counters of every named
-/// cache already destroyed (entries/capacity count live caches only).
-/// This is what the --metrics-out exit snapshot reports: the per-problem
-/// fitness caches die mid-run and process-wide caches can be torn down
-/// before the exit hook fires, yet their hit/miss totals still belong in
-/// the run's accounting. For live caches the two functions agree.
-std::vector<std::pair<std::string, CacheStats>> lifetime_cache_stats();
 
 /// Process-wide default capacity for the DSE caches (the --cache-size /
 /// --no-cache flags). Precedence: set_cache_capacity() override, else the
@@ -217,7 +208,7 @@ class MemoCache {
   }
 
   ~MemoCache() {
-    if (!name_.empty()) detail::unregister_cache(token_, stats());
+    if (!name_.empty()) detail::unregister_cache(token_);
   }
 
   MemoCache(const MemoCache&) = delete;

@@ -216,11 +216,10 @@ JsonObject metrics_snapshot() {
     histograms_json[name] = JsonValue(std::move(h));
   }
 
-  // Lifetime view, not just live caches: the exit snapshot must still see
-  // the totals of caches destroyed before the hook fires (per-problem
-  // fitness caches, the process-wide chain cache under LIFO teardown).
+  // Live caches only. The process-wide chain cache is never destroyed, so
+  // the exit hook's snapshot still sees it.
   JsonObject caches_json;
-  for (const auto& [name, stats] : lifetime_cache_stats()) {
+  for (const auto& [name, stats] : aggregate_cache_stats()) {
     JsonObject cache;
     cache["hits"] = static_cast<std::size_t>(stats.hits);
     cache["misses"] = static_cast<std::size_t>(stats.misses);

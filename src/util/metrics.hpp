@@ -23,9 +23,9 @@
 //     differential test).
 //
 // Snapshots serialize to util::json; metrics_snapshot() additionally
-// re-exports every named MemoCache's hit/miss/evict counters — live caches
-// plus the retained totals of already-destroyed ones (lifetime_cache_stats)
-// — under "caches", so one file describes the whole run.
+// re-exports every live named MemoCache's hit/miss/evict counters
+// (aggregate_cache_stats) under "caches", so one file describes the whole
+// run.
 #pragma once
 
 #include <atomic>
@@ -158,9 +158,8 @@ void observe_seconds(const std::string& name, double seconds);
 /// Snapshot every registered metric plus the cache counters:
 ///   {"counters": {...}, "gauges": {...}, "histograms": {...},
 ///    "caches": {"<name>": {"hits": ..., "misses": ..., ...}}}
-/// Cache counts come from lifetime_cache_stats() at call time, so they
-/// match what the caching layer itself reports (and still cover caches
-/// already destroyed when the exit hook takes the final snapshot).
+/// Cache counts come from aggregate_cache_stats() at call time, so they
+/// match what the caching layer itself reports.
 JsonObject metrics_snapshot();
 
 /// Zero every registered metric (counters, gauges, histograms). Registered

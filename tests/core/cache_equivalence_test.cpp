@@ -4,9 +4,9 @@
 // cache-on runs (roomy capacity and tiny, eviction-thrashed capacity) of
 // every DSE flow must produce bit-identical fronts, front genomes, and
 // evaluation counts — and the GA driver itself must produce bit-identical
-// populations, archives, objectives, and violations. Both caches are in
-// play here: the genome-level fitness cache inside ClrMappingProblem and
-// the chain-solve cache under the reliability analysis.
+// populations, archives, objectives, and violations. The cache in play is
+// the process-wide chain-solve cache under the reliability analysis, the
+// only memo cache the DSE has.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,6 +18,7 @@
 #include "core/dse.hpp"
 #include "moea/island.hpp"
 #include "platform/architecture.hpp"
+#include "reliability/clr_chain_builder.hpp"
 #include "util/log.hpp"
 #include "util/memo_cache.hpp"
 #include "util/thread_pool.hpp"
@@ -106,8 +107,8 @@ TEST_F(CacheEquivalenceTest, ProposedFlowOnSobel) {
 }
 
 TEST_F(CacheEquivalenceTest, KResilientFlowOnSobel) {
-  // The k-resilient evaluation adds its own memoized layer (the
-  // ResilientProblem fitness cache) on top of the nominal problem's; both
+  // The k-resilient flow builds its own nominal problem and certifies every
+  // genome against each failure set; the chain cache under its table build
   // must stay invisible to results under eviction pressure and threading.
   const core::DseMethodology dse(app::make_sobel_application(),
                                  platform::Architecture::paper_default(),
@@ -142,8 +143,7 @@ TEST_F(CacheEquivalenceTest, AllFlowsOnRandomizedSyntheticApplications) {
 TEST_F(CacheEquivalenceTest, ArchivePointsAndViolationsMatchBitForBit) {
   // Drop below the DseOutcome surface: the GA's full state — population
   // objectives, constraint violations, archive members — must be identical
-  // with and without the caches, including the within-batch genome dedupe
-  // path that only engages when ops.hash/ops.equal are set.
+  // with and without the cache.
   const app::Application sobel = app::make_sobel_application();
   const platform::Architecture arch = platform::Architecture::paper_default();
   const core::ClrMappingProblem problem(
@@ -163,10 +163,18 @@ TEST_F(CacheEquivalenceTest, ArchivePointsAndViolationsMatchBitForBit) {
 
   for (const std::size_t capacity : {std::size_t{4096}, std::size_t{32}}) {
     util::set_cache_capacity(capacity);
-    // A fresh problem so the fitness cache is built at the new capacity.
+    // A fresh problem, so its table build goes through the chain cache at
+    // the new capacity.
+    const util::CacheStats chain_before = reliability::chain_cache_stats();
     const core::ClrMappingProblem cached_problem(
         sobel, arch, reliability::TaskAnalyzer::paper_default(),
         core::SystemObjectives{}, sched::QosSpec{});
+    const util::CacheStats chain_after = reliability::chain_cache_stats();
+    // The roomy run must actually exercise the cache, not bypass it.
+    if (capacity >= 4096) {
+      EXPECT_GT(chain_after.hits + chain_after.misses,
+                chain_before.hits + chain_before.misses);
+    }
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       SCOPED_TRACE(::testing::Message()
                    << "capacity " << capacity << ", threads " << threads);
@@ -196,11 +204,6 @@ TEST_F(CacheEquivalenceTest, ArchivePointsAndViolationsMatchBitForBit) {
         EXPECT_EQ(off.population[off.front[i]].eval.objectives,
                   on.population[on.front[i]].eval.objectives);
       }
-    }
-    // The roomy run must actually exercise the cache, not bypass it.
-    if (capacity >= 4096) {
-      const util::CacheStats stats = cached_problem.fitness_cache_stats();
-      EXPECT_GT(stats.hits + stats.misses, 0u);
     }
   }
 }

@@ -138,15 +138,16 @@ TEST_F(ObservabilityEquivalenceTest, WrittenFilesAreValidAndMatchRegistry) {
       metrics.at("histograms").at("dse.fcclr_seconds").at("count").as_number(),
       1.0);
   EXPECT_EQ(metrics.at("manifest").at("seed").as_string(), "7");
-  for (const auto& [name, stats] : util::lifetime_cache_stats()) {
+  for (const auto& [name, stats] : util::aggregate_cache_stats()) {
     const util::JsonValue& entry = metrics.at("caches").at(name);
     // The run is over, so the counters are quiescent between the snapshot
     // and this aggregation.
     EXPECT_EQ(entry.at("hits").as_number(), double(stats.hits)) << name;
     EXPECT_EQ(entry.at("misses").as_number(), double(stats.misses)) << name;
+    EXPECT_EQ(entry.at("capacity").as_number(), double(stats.capacity))
+        << name;
   }
-  // The chain cache must actually appear — this is the regression the
-  // lifetime view exists for.
+  // The chain cache must actually appear, live.
   EXPECT_NE(metrics.at("caches").find("chain_solve"), nullptr);
 
   // Trace file: valid Chrome trace JSON with the expected span names and

@@ -1,5 +1,5 @@
 // Heap allocations of the search path's fitness evaluation, counted by this
-// binary's own operator new: with the fitness cache off, a warm
+// binary's own operator new: at the default cache capacity, a warm
 // ClrMappingProblem::evaluate decodes into the thread's QoS workspace and
 // scores it with the problem's plan, so its one allocation is the returned
 // objectives vector. Own binary, because the replaced operator new would
@@ -17,7 +17,6 @@
 #include "core/experiment.hpp"
 #include "core/problem.hpp"
 #include "platform/architecture.hpp"
-#include "util/memo_cache.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -46,7 +45,6 @@ namespace clrearly::core {
 namespace {
 
 TEST(QosPlanAllocationTest, WarmEvaluateAllocatesOnlyItsObjectives) {
-  util::set_cache_capacity(0);  // every evaluate() computes
   sched::QosSpec spec;
   spec.min_functional_rel = 0.99;
   for (std::size_t n : {10, 100, 2000}) {
@@ -70,7 +68,6 @@ TEST(QosPlanAllocationTest, WarmEvaluateAllocatesOnlyItsObjectives) {
       EXPECT_EQ(allocs, 1u) << n << " tasks";
     }
   }
-  util::reset_cache_capacity();
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Socket-level tests of the HTTP front: raw request/response framing over a
-// real ephemeral-port listener, query parsing, and concurrent submissions.
+// real ephemeral-port listener, query parsing, concurrent submissions and
+// stop() with connections still open.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "server/server.hpp"
 #include "server/service.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 
 namespace clrearly::server {
 namespace {
@@ -390,6 +394,143 @@ TEST(HttpTest, StopReturnsPromptlyAfterManyConnections) {
   const std::chrono::duration<double> took =
       std::chrono::steady_clock::now() - start;
   EXPECT_LT(took.count(), 2.0);
+  service.shutdown(true);
+}
+
+/// Read from `fd` until the peer closes it, giving up after `seconds` in
+/// total (an SSE stream's heartbeats never let a per-read timeout expire).
+std::string read_until_close(int fd, int seconds) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
+  std::string received;
+  char buffer[4096];
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      break;
+    }
+    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+    if (n <= 0) break;
+    received.append(buffer, static_cast<std::size_t>(n));
+  }
+  return received;
+}
+
+std::string job_state(DseService& service, const std::string& id) {
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/v1/jobs/" + id;
+  return util::json_parse(service.handle(request).body)
+      .at("state")
+      .as_string();
+}
+
+void cancel_job(DseService& service, const std::string& id) {
+  HttpRequest request;
+  request.method = "POST";
+  request.path = "/v1/jobs/" + id + "/cancel";
+  service.handle(request);
+}
+
+/// Cancels jobs, in order, on every exit from a test: the queue's
+/// destructor drains a running job, so a failed assertion would otherwise
+/// wait for a job sized to outlast the test.
+struct CancelOnExit {
+  DseService& service;
+  std::vector<std::string> ids;
+  ~CancelOnExit() {
+    for (const std::string& id : ids) cancel_job(service, id);
+  }
+};
+
+// Shutdown ordering: an SSE stream on a queued job must not hold
+// HttpServer::stop() until that job runs to completion. The job ahead of it
+// runs far longer than the test, so only the stop flag can end the stream.
+TEST(HttpTest, StopDuringOpenSseStreamReturnsPromptly) {
+  ServiceOptions service_options;
+  service_options.workers = 1;
+  DseService service(service_options);
+  ServerOptions server_options;
+  server_options.port = 0;
+  HttpServer server(service, server_options);
+  server.start();
+
+  const std::string long_job = R"({
+    "format_version": 1, "flow": "fcclr", "seed": 1,
+    "ga": {"population_size": 16, "generations": 1000000},
+    "application": "synthetic:20:1"
+  })";
+  const std::string running = util::json_parse(body_of(post(
+      server.port(), "/v1/jobs", long_job))).at("id").as_string();
+  const std::string queued = util::json_parse(body_of(post(
+      server.port(), "/v1/jobs", long_job))).at("id").as_string();
+  const CancelOnExit cancel_on_exit{service, {queued, running}};
+
+  const util::Counter& streams = util::metric_counter("server.sse.streams");
+  const std::uint64_t streams_before = streams.value();
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "GET /v1/jobs/" + queued +
+                               "/events HTTP/1.1\r\nHost: x\r\n"
+                               "Accept: text/event-stream\r\n\r\n"));
+  std::future<std::string> stream = std::async(
+      std::launch::async, [fd] { return read_until_close(fd, 10); });
+  for (int i = 0; i < 500 && streams.value() == streams_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(streams.value(), streams_before) << "the stream never opened";
+  EXPECT_EQ(job_state(service, queued), "queued");
+
+  std::future<void> stopped =
+      std::async(std::launch::async, [&server] { server.stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready)
+      << "stop() waited on an open SSE stream";
+
+  // The CLI's drain order: shutdown(true) cancels the queued job and then
+  // waits for the running one, which is cancelled here so the test ends.
+  std::future<void> drained = std::async(
+      std::launch::async, [&service] { service.shutdown(true); });
+  for (int i = 0; i < 500 && job_state(service, queued) != "cancelled"; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  cancel_job(service, running);
+  drained.wait();
+  stopped.wait();
+  (void)stream.get();
+  ::close(fd);
+  EXPECT_EQ(job_state(service, queued), "cancelled");
+  EXPECT_EQ(job_state(service, running), "cancelled");
+}
+
+// Shutdown ordering: an idle keep-alive connection must not hold stop()
+// for its idle timeout, set here far beyond the test's bound.
+TEST(HttpTest, StopDuringKeepAliveIdleWaitReturnsPromptly) {
+  ServiceOptions service_options;
+  service_options.workers = 1;
+  DseService service(service_options);
+  ServerOptions server_options;
+  server_options.port = 0;
+  server_options.idle_timeout_ms = 60000;
+  HttpServer server(service, server_options);
+  server.start();
+
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, "GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"));
+  std::string buffer;
+  EXPECT_NE(recv_one_response(fd, buffer).find("200 OK"), std::string::npos);
+
+  std::future<void> stopped =
+      std::async(std::launch::async, [&server] { server.stop(); });
+  EXPECT_EQ(stopped.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready)
+      << "stop() waited on an idle keep-alive connection";
+  ::close(fd);  // lets a stuck handler go, so a failure ends here
+  stopped.wait();
   service.shutdown(true);
 }
 

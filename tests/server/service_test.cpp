@@ -1,6 +1,6 @@
 // DseService tests, driving the routing layer in process (no sockets):
 // submit -> poll -> result, bit-identical equivalence with the offline flow
-// entry points, cross-request cache sharing, spool replay, admission
+// entry points, cross-request session sharing, spool replay, admission
 // control and the error paths.
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "server/service.hpp"
 #include "util/json.hpp"
 #include "util/memo_cache.hpp"
+#include "util/metrics.hpp"
 
 namespace clrearly::server {
 namespace {
@@ -191,34 +192,36 @@ TEST(ServiceTest, KResilientJobMatchesOfflineFlowBitForBit) {
             offline.evaluations);
 
   // A second identical submission reuses the session's resilient problem
-  // and answers every evaluation from its fitness cache.
+  // and reproduces the front.
   const std::string again = run_to_completion(service, body);
   const util::JsonValue r2 = fetch_result(service, again);
-  EXPECT_GT(cache_field(r2, "fitness_hits"), 0u);
   EXPECT_EQ(r2.at("front"), result.at("front"));
+  EXPECT_EQ(r2.at("front_genomes"), result.at("front_genomes"));
 }
 
-TEST(ServiceTest, SecondIdenticalJobHitsTheFitnessCache) {
+TEST(ServiceTest, SecondIdenticalJobReusesItsSessionBitForBit) {
   ServiceOptions options;
   options.workers = 1;
   DseService service(options);
+  const util::Counter& session_hits =
+      util::metric_counter("server.sessions.hits");
   const std::string first =
       run_to_completion(service, small_job_body("pfclr", 1));
+  const std::uint64_t hits_before = session_hits.value();
   const std::string second =
       run_to_completion(service, small_job_body("pfclr", 1));
   const util::JsonValue r1 = fetch_result(service, first);
   const util::JsonValue r2 = fetch_result(service, second);
 
-  // Identical spec + shared session: every evaluation is a cache hit.
-  EXPECT_GT(cache_field(r2, "fitness_hits"), 0u);
-  EXPECT_EQ(cache_field(r2, "fitness_misses"), 0u);
+  // Identical spec: the same session, and the same front bit for bit.
+  EXPECT_EQ(session_hits.value() - hits_before, 1u);
   EXPECT_EQ(r1.at("front"), r2.at("front"));
+  EXPECT_EQ(r1.at("front_genomes"), r2.at("front_genomes"));
 
   // A different seed shares the session but explores new genomes.
   const std::string third =
       run_to_completion(service, small_job_body("pfclr", 2));
   const util::JsonValue r3 = fetch_result(service, third);
-  EXPECT_GT(cache_field(r3, "fitness_misses"), 0u);
   EXPECT_NE(r1.at("front"), r3.at("front"));
 }
 
@@ -247,13 +250,12 @@ TEST(ServiceTest, SessionRebuildHitsTheChainCache) {
   run_to_completion(service, other_model);
   EXPECT_EQ(service.sessions().size(), 1u);
 
-  // ...so this job rebuilds the sobel problem from scratch. Its fitness
-  // cache is cold again, but every absorbing-chain solve of the table build
-  // hits the process-wide chain cache.
+  // ...so this job rebuilds the sobel problem from scratch, and every
+  // absorbing-chain solve of the table build hits the process-wide chain
+  // cache.
   const std::string rebuilt =
       run_to_completion(service, small_job_body("fcclr", 1));
   const util::JsonValue r = fetch_result(service, rebuilt);
-  EXPECT_GT(cache_field(r, "fitness_misses"), 0u);
   EXPECT_GT(cache_field(r, "chain_hits"), 0u);
   EXPECT_EQ(cache_field(r, "chain_misses"), 0u);
 
@@ -451,7 +453,7 @@ TEST(ServiceTest, SessionLeasePinsAgainstEviction) {
 
   {
     // Re-acquiring the same model key while pinned shares the session (and
-    // its fitness cache) instead of rebuilding it.
+    // its built problems) instead of rebuilding it.
     SessionCache::Lease again = cache.acquire(sobel);
     EXPECT_EQ(again.get(), lease.get());
     EXPECT_EQ(lease->pins(), 2);

@@ -168,27 +168,14 @@ TEST_F(MetricsTest, SnapshotCachesSectionMatchesTheCacheRegistry) {
     EXPECT_EQ(entry.at("hits").as_number(), double(live.hits));
     EXPECT_EQ(entry.at("misses").as_number(), double(live.misses));
     EXPECT_EQ(entry.at("entries").as_number(), double(live.entries));
+    EXPECT_EQ(entry.at("capacity").as_number(), double(live.capacity));
   }
-  // Destroyed cache: gone from the live registry, but its event counters
-  // are retained for the exit snapshot (lifetime view).
+  // Destroyed cache: gone from the registry and from the snapshot.
   for (const auto& [name, stats] : aggregate_cache_stats()) {
     EXPECT_NE(name, "metrics_test_cache");
   }
-  CacheStats lifetime;
-  bool found = false;
-  for (const auto& [name, stats] : lifetime_cache_stats()) {
-    if (name == "metrics_test_cache") {
-      lifetime = stats;
-      found = true;
-    }
-  }
-  ASSERT_TRUE(found);
-  EXPECT_GE(lifetime.hits, 1u);
-  EXPECT_GE(lifetime.misses, 1u);
-  EXPECT_EQ(lifetime.entries, 0u);  // storage died with the cache
   const JsonValue snapshot{metrics_snapshot()};
-  const JsonValue& entry = snapshot.at("caches").at("metrics_test_cache");
-  EXPECT_EQ(entry.at("hits").as_number(), double(lifetime.hits));
+  EXPECT_EQ(snapshot.at("caches").find("metrics_test_cache"), nullptr);
 }
 
 TEST_F(MetricsTest, ResetMetricsZeroesEverythingButKeepsReferences) {
