@@ -1,17 +1,11 @@
 #!/usr/bin/env python3
-"""Validate the JSON emitted by the self-describing benchmarks.
+"""Validate the JSON bench_scale emits (the island-model lane).
 
 Usage: check_bench.py BENCH_JSON
 
-Dispatches on the top-level "benchmark" id:
-
-* "resilience" (bench_resilience) — the permanent-fault lane: a
-  non-empty k-resilient front, every point's analytic availability and
-  error inside the injected Wilson interval, injection bit-identical
-  across thread counts, and a sane resilience-agnostic baseline.
-* "scale" (bench_scale) — the island-model lane: every size ran both
-  configurations at an equal evaluation budget, with monotone
-  hypervolume-vs-evaluations curves that end at the reported budget.
+The report's top-level "benchmark" id must be "scale": every size ran both
+configurations at an equal evaluation budget, with monotone
+hypervolume-vs-evaluations curves that end at the reported budget.
 
 Convergence speedups are a soft gate: a value below the warning threshold
 prints a WARN (shared CI runners are noisy) but does not fail the job.
@@ -34,55 +28,6 @@ def fail(message: str) -> None:
 
 def warn(message: str) -> None:
     print(f"check_bench: WARN: {message}")
-
-
-def check_resilience(report: dict) -> str:
-    for key in ("max_failures", "mission_hours", "trials_per_point",
-                "front_points", "points", "availability_covered",
-                "error_covered", "covered", "deterministic",
-                "baseline_front_points", "baseline_survivors",
-                "baseline_survivor_fraction"):
-        if key not in report:
-            fail(f"missing top-level key '{key}'")
-    n = report["front_points"]
-    if n <= 0:
-        fail(f"empty k-resilient front (front_points={n})")
-    points = report["points"]
-    if not isinstance(points, list) or len(points) != n:
-        fail(f"'points' missing or inconsistent with front_points={n}")
-    for point in points:
-        for key in ("analytic_availability", "injected_availability",
-                    "availability_ci_lo", "availability_ci_hi",
-                    "availability_covered", "analytic_error_prob",
-                    "injected_error_prob", "error_ci_lo", "error_ci_hi",
-                    "error_covered", "available_trials"):
-            if key not in point:
-                fail(f"points entry missing '{key}': {point}")
-        if not 0 <= point["analytic_availability"] <= 1:
-            fail(f"analytic availability out of range: {point}")
-        if point["availability_ci_lo"] > point["availability_ci_hi"]:
-            fail(f"availability CI inverted: {point}")
-        if point["error_ci_lo"] > point["error_ci_hi"]:
-            fail(f"error CI inverted: {point}")
-        if point["available_trials"] <= 0:
-            fail(f"no available trials — injection never found a surviving "
-                 f"configuration: {point}")
-    if report["deterministic"] is not True:
-        fail("injection diverged across thread counts (deterministic=false)")
-    if report["covered"] is not True:
-        fail(
-            f"Monte Carlo oracle disagrees with the analytic degraded-mode "
-            f"prediction (availability {report['availability_covered']}/{n}, "
-            f"error {report['error_covered']}/{n} covered)"
-        )
-    if not 0 <= report["baseline_survivor_fraction"] <= 1:
-        fail(f"baseline_survivor_fraction out of range: "
-             f"{report['baseline_survivor_fraction']}")
-    return (
-        f"k={report['max_failures']}, {n} front points covered at "
-        f"{report['trials_per_point']} trials, baseline survivors "
-        f"{100 * report['baseline_survivor_fraction']:.0f}%"
-    )
 
 
 def check_scale_run(entry: dict, label: str) -> None:
@@ -162,7 +107,6 @@ def check_scale(report: dict) -> str:
 
 
 CHECKERS = {
-    "resilience": check_resilience,
     "scale": check_scale,
 }
 

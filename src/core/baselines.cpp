@@ -57,28 +57,4 @@ AgnosticOutcome run_agnostic(const DseMethodology& dse,
   return outcome;
 }
 
-ResilienceBaselineOutcome run_resilience_baseline(const DseMethodology& dse,
-                                                  const DseOptions& options) {
-  ResilienceBaselineOutcome outcome;
-  outcome.nominal = dse.run_fcclr(options);
-
-  const ResilientProblem resilient = dse.build_resilient_problem(options);
-  outcome.survivors.reserve(outcome.nominal.front_genomes.size());
-  for (const MappingGenome& genome : outcome.nominal.front_genomes) {
-    const bool survives =
-        moea::is_feasible(resilient.evaluate(genome).violation);
-    outcome.survivors.push_back(survives);
-    outcome.survivor_count += survives;
-  }
-  if (!outcome.survivors.empty()) {
-    outcome.survivor_fraction =
-        static_cast<double>(outcome.survivor_count) /
-        static_cast<double>(outcome.survivors.size());
-  }
-  util::log_info() << "resilience baseline: " << outcome.survivor_count << "/"
-                   << outcome.survivors.size()
-                   << " nominal front points are k-resilient";
-  return outcome;
-}
-
 }  // namespace clrearly::core

@@ -34,20 +34,4 @@ struct AgnosticOutcome {
 AgnosticOutcome run_agnostic(const DseMethodology& dse,
                              const DseOptions& options);
 
-/// Resilience-agnostic baseline (TABLE-V-style for the permanent-fault
-/// axis): run plain fcCLR — which never looks at failure sets — then
-/// re-score its front under the k-resilient fitness. `survivors` marks the
-/// nominal front points that happen to be k-resilient anyway; the gap
-/// between survivor_fraction and 1.0 is what the dedicated run_kresilient
-/// flow buys.
-struct ResilienceBaselineOutcome {
-  DseOutcome nominal;                ///< the resilience-agnostic fcCLR front
-  std::vector<bool> survivors;       ///< parallel to nominal.front
-  std::size_t survivor_count = 0;
-  double survivor_fraction = 0.0;    ///< 0 when the nominal front is empty
-};
-
-ResilienceBaselineOutcome run_resilience_baseline(const DseMethodology& dse,
-                                                  const DseOptions& options);
-
 }  // namespace clrearly::core

@@ -320,8 +320,7 @@ JsonValue to_json(const moea::Nsga2Params& params) {
       {"crossover_prob", params.crossover_prob},
       {"mutation_prob", params.mutation_prob},
       {"mutation_indpb", params.mutation_indpb},
-      {"tournament_k", params.tournament_k},
-      {"archive_size", params.archive_size}});
+      {"tournament_k", params.tournament_k}});
 }
 
 moea::Nsga2Params nsga2_params_from_json(const JsonValue& json) {
@@ -345,8 +344,14 @@ moea::Nsga2Params nsga2_params_from_json(const JsonValue& json) {
   if (const JsonValue* v = json.find("tournament_k")) {
     params.tournament_k = as_index(*v, "ga.tournament_k");
   }
+  // The external archive is gone; v1 specs and journals wrote its
+  // disabled value, 0, which still parses.
   if (const JsonValue* v = json.find("archive_size")) {
-    params.archive_size = as_index(*v, "ga.archive_size");
+    if (as_index(*v, "ga.archive_size") != 0) {
+      throw std::runtime_error(
+          "serialize: ga.archive_size: the external archive was removed; "
+          "only 0 is accepted");
+    }
   }
   params.validate();
   return params;

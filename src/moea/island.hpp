@@ -327,8 +327,7 @@ Nsga2Result<Genome> run_island_nsga2(const Nsga2Params& params,
 
   // Deterministic merge: island populations concatenated in island-index
   // order (count-then-lex over the ring positions), one global
-  // non-dominated sort for the final front, archives merged through the
-  // same batched update the per-island archives used.
+  // non-dominated sort for the final front.
   Nsga2Result<Genome> merged;
   std::vector<Objectives> points;
   std::vector<double> violations;
@@ -338,10 +337,6 @@ Nsga2Result<Genome> run_island_nsga2(const Nsga2Params& params,
   for (auto& engine : engines) {
     Nsga2Result<Genome> part = engine.finish();
     merged.evaluations += part.evaluations;
-    if (params.archive_size > 0) {
-      detail::update_archive(merged.archive, part.archive,
-                             params.archive_size);
-    }
     for (auto& member : part.population) {
       points.push_back(member.eval.objectives);
       violations.push_back(member.eval.violation);

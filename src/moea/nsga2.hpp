@@ -71,12 +71,6 @@ struct Nsga2Params {
   double mutation_indpb = 0.05;
   std::size_t tournament_k = 5;  ///< paper Section V-C
 
-  /// Capacity of the external non-dominated archive (0 disables it). When
-  /// enabled, every feasible non-dominated point encountered across the
-  /// whole run is retained (crowding-truncated to this capacity), so the
-  /// reported front cannot lose solutions the search once had.
-  std::size_t archive_size = 0;
-
   /// Optional per-generation progress observer (see GenerationProgress).
   /// Null by default; never serialized as part of any wire format.
   ProgressHook on_generation;
@@ -118,23 +112,11 @@ struct Nsga2Result {
   std::vector<std::size_t> front;  ///< indices of the first (feasible) front
   std::size_t evaluations = 0;     ///< total fitness evaluations performed
 
-  /// External archive (empty unless Nsga2Params::archive_size > 0): the
-  /// non-dominated feasible points accumulated over the entire run.
-  std::vector<EvaluatedGenome<Genome>> archive;
-
   /// Objective vectors of the final front.
   std::vector<Objectives> front_objectives() const {
     std::vector<Objectives> out;
     out.reserve(front.size());
     for (std::size_t i : front) out.push_back(population[i].eval.objectives);
-    return out;
-  }
-
-  /// Objective vectors of the archive.
-  std::vector<Objectives> archive_objectives() const {
-    std::vector<Objectives> out;
-    out.reserve(archive.size());
-    for (const auto& member : archive) out.push_back(member.eval.objectives);
     return out;
   }
 };
@@ -155,69 +137,6 @@ std::vector<std::size_t> survivor_selection(
     const std::vector<double>& violations, std::size_t target);
 
 namespace detail {
-
-/// Merge feasible `candidates` into the non-dominated `archive`, then
-/// crowding-truncate to `capacity`. Duplicate objective vectors are kept
-/// once.
-///
-/// The merge is batched: over the union (archive members first, then the
-/// feasible candidates, both in order) a single dominance pass keeps every
-/// point no other point dominates, retaining only the first of each group
-/// of equal objective vectors. This is exactly the fixed point the old
-/// per-candidate insert-scan-and-erase loop converged to (dominance is
-/// transitive, and the archive invariant — mutually non-dominated — holds
-/// on entry), without the per-candidate archive scan + erase_if churn.
-template <typename Genome>
-void update_archive(std::vector<EvaluatedGenome<Genome>>& archive,
-                    const std::vector<EvaluatedGenome<Genome>>& candidates,
-                    std::size_t capacity) {
-  std::vector<const EvaluatedGenome<Genome>*> pool;
-  pool.reserve(archive.size() + candidates.size());
-  for (const auto& member : archive) pool.push_back(&member);
-  for (const auto& candidate : candidates) {
-    if (!is_feasible(candidate.eval.violation)) continue;
-    pool.push_back(&candidate);
-  }
-  std::vector<char> keep(pool.size(), 1);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    const Objectives& mine = pool[i]->eval.objectives;
-    for (std::size_t j = 0; j < pool.size() && keep[i]; ++j) {
-      if (j == i) continue;
-      const Objectives& other = pool[j]->eval.objectives;
-      if (dominates(other, mine) || (j < i && other == mine)) keep[i] = 0;
-    }
-  }
-  std::vector<EvaluatedGenome<Genome>> merged;
-  merged.reserve(pool.size());
-  const std::size_t members = archive.size();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (!keep[i]) continue;
-    if (i < members) {
-      merged.push_back(std::move(archive[i]));
-    } else {
-      merged.push_back(*pool[i]);
-    }
-  }
-  archive = std::move(merged);
-  if (archive.size() <= capacity) return;
-
-  std::vector<Objectives> points;
-  points.reserve(archive.size());
-  for (const auto& member : archive) points.push_back(member.eval.objectives);
-  std::vector<std::size_t> all(points.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  const std::vector<double> crowd = crowding_distance(points, all);
-
-  std::vector<std::size_t> order = all;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return crowd[a] > crowd[b]; });
-  std::vector<EvaluatedGenome<Genome>> kept;
-  kept.reserve(capacity);
-  for (std::size_t i = 0; i < capacity; ++i) {
-    kept.push_back(std::move(archive[order[i]]));
-  }
-  archive = std::move(kept);
-}
 
 /// Evaluate `genomes` concurrently (index-sharded over the global thread
 /// pool) and append them to `population` and the parallel `points` /
@@ -289,8 +208,8 @@ inline double front_bbox_volume(const std::vector<Objectives>& points,
 /// Every generation is two phases: a serial *variation* phase (selection,
 /// crossover, mutation — the only RNG consumers, drawn in the exact order
 /// the historical serial loop used) followed by a parallel *evaluation*
-/// phase over the whole offspring batch. Fronts, archives and evaluation
-/// counts are therefore bit-identical across thread counts.
+/// phase over the whole offspring batch. Fronts and evaluation counts are
+/// therefore bit-identical across thread counts.
 ///
 /// `seeds` pre-loads the initial population (truncated to the population
 /// size; the remainder is filled by ops.create) — this implements the
@@ -324,10 +243,6 @@ class Nsga2Engine {
     }
     detail::evaluate_append(ops_, std::move(batch), result_.population,
                             points_, violations_, result_.evaluations);
-    if (params_.archive_size > 0) {
-      detail::update_archive(result_.archive, result_.population,
-                             params_.archive_size);
-    }
 
     next_.reserve(params_.population_size);
     next_points_.reserve(params_.population_size);
@@ -344,7 +259,7 @@ class Nsga2Engine {
   /// when ranking parents and selecting survivors. Members outside this
   /// engine's assigned region lose under constrained dominance, so search
   /// effort concentrates inside the region. The *true* violation still
-  /// decides emigrants, archives and the final front — the bias redirects
+  /// decides emigrants and the final front — the bias redirects
   /// effort, it never fabricates or hides (in)feasibility in anything the
   /// engine reports. Null (the default, and the only mode a single-island
   /// run uses) keeps ranking bit-identical to the historical path.
@@ -361,7 +276,7 @@ class Nsga2Engine {
   }
 
   /// Evolve one generation: rank, telemetry/hook, serial variation,
-  /// parallel evaluation, (mu + lambda) survivor selection, archive update.
+  /// parallel evaluation, (mu + lambda) survivor selection.
   void advance() {
     if (done()) {
       throw std::logic_error("Nsga2Engine::advance: already finished");
@@ -437,11 +352,6 @@ class Nsga2Engine {
     detail::evaluate_append(ops_, std::move(batch), population, points_,
                             violations_, result_.evaluations);
     select_survivors();
-
-    if (params_.archive_size > 0) {
-      detail::update_archive(result_.archive, population,
-                             params_.archive_size);
-    }
     ++generation_;
   }
 
@@ -478,13 +388,9 @@ class Nsga2Engine {
   /// select back down to the population size. Immigrants were evaluated by
   /// their home island, so the evaluation count is NOT incremented — island
   /// runs spend exactly the same evaluation budget as a single-population
-  /// run of equal size. Feasible immigrants also enter the archive.
+  /// run of equal size.
   void immigrate(std::vector<EvaluatedGenome<Genome>> immigrants) {
     if (immigrants.empty()) return;
-    if (params_.archive_size > 0) {
-      detail::update_archive(result_.archive, immigrants,
-                             params_.archive_size);
-    }
     for (auto& member : immigrants) {
       points_.push_back(member.eval.objectives);
       violations_.push_back(member.eval.violation);

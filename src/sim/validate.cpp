@@ -107,53 +107,4 @@ void write_validation_csv(const std::string& path,
   csv.flush();
 }
 
-util::JsonValue validation_row_json(const ValidationRow& row) {
-  util::JsonObject o;
-  o["label"] = row.label;
-  o["trials"] = row.simulated.trials;
-  o["analytic_makespan_us"] = row.analytic.makespan_us;
-  o["analytic_makespan_stddev_us"] = row.analytic.makespan_stddev_us;
-  o["sim_makespan_mean_us"] = row.simulated.makespan_mean_us;
-  o["sim_makespan_stddev_us"] = row.simulated.makespan_stddev_us;
-  o["sim_makespan_ci_us"] = util::JsonArray{
-      row.simulated.makespan_ci_us.lo, row.simulated.makespan_ci_us.hi};
-  o["makespan_delta_us"] = row.makespan_delta_us;
-  o["makespan_tolerance_us"] = row.makespan_tolerance_us;
-  o["makespan_agrees"] = row.makespan_agrees;
-  o["analytic_error_prob"] = row.analytic.error_prob;
-  o["sim_error_prob"] = row.simulated.error_prob;
-  o["sim_error_ci"] = util::JsonArray{row.simulated.error_ci.lo,
-                                      row.simulated.error_ci.hi};
-  o["error_delta"] = row.error_delta;
-  o["error_agrees"] = row.error_agrees;
-  o["analytic_energy_uj"] = row.analytic.energy_uj;
-  o["sim_energy_mean_uj"] = row.simulated.energy_mean_uj;
-  o["sim_energy_ci_uj"] = util::JsonArray{row.simulated.energy_ci_uj.lo,
-                                          row.simulated.energy_ci_uj.hi};
-  if (row.simulated.deadline_us > 0.0) {
-    o["deadline_us"] = row.simulated.deadline_us;
-    o["analytic_deadline_miss"] = row.analytic_deadline_miss;
-    o["sim_deadline_miss_rate"] = row.simulated.deadline_miss_rate;
-    o["sim_deadline_miss_ci"] = util::JsonArray{
-        row.simulated.deadline_miss_ci.lo, row.simulated.deadline_miss_ci.hi};
-  }
-  o["mean_faults"] = row.simulated.mean_faults;
-  o["mean_rollbacks"] = row.simulated.mean_rollbacks;
-  return o;
-}
-
-util::JsonValue validation_report_json(const ValidationReport& report) {
-  util::JsonArray rows;
-  rows.reserve(report.rows.size());
-  for (const ValidationRow& row : report.rows) {
-    rows.push_back(validation_row_json(row));
-  }
-  util::JsonObject o;
-  o["rows"] = std::move(rows);
-  o["makespan_agreement"] = report.makespan_agreement();
-  o["error_agreement"] = report.error_agreement();
-  o["agreement"] = report.agreement();
-  return o;
-}
-
 }  // namespace clrearly::sim

@@ -1,7 +1,7 @@
 // Side-by-side comparison of analytic QosMetrics against simulated
 // SimResults for a set of design points, with explicit agreement criteria —
-// the report the sim_validation bench and the `clrearly simulate`
-// subcommand emit.
+// the report the `clrearly simulate` subcommand emits and the flow-front
+// agreement test (tests/sim/sim_agreement_test.cpp) gates on.
 //
 // Agreement criteria (rationale in docs/SIMULATION.md):
 //  * Makespan — |sim mean - analytic mean| <= sim CI half-width +
@@ -23,7 +23,6 @@
 
 #include "sched/qos.hpp"
 #include "sim/schedule_sim.hpp"
-#include "util/json.hpp"
 
 namespace clrearly::sim {
 
@@ -72,9 +71,5 @@ struct ValidationReport {
 /// agreement flags). Throws std::runtime_error when `path` cannot be opened.
 void write_validation_csv(const std::string& path,
                           const ValidationReport& report);
-
-/// JSON forms, for embedding in BENCH_*.json files.
-util::JsonValue validation_row_json(const ValidationRow& row);
-util::JsonValue validation_report_json(const ValidationReport& report);
 
 }  // namespace clrearly::sim

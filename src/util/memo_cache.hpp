@@ -281,19 +281,6 @@ class MemoCache {
     ++shard.entries;
   }
 
-  /// lookup(); on miss, run `compute` (outside any lock — computations are
-  /// the expensive part and may themselves use the cache) and insert the
-  /// result. Concurrent computes of the same key are allowed: the value is
-  /// a pure function of the key, so both produce identical bits.
-  template <typename Fn>
-  Value get_or_compute(const Key& key, Fn&& compute) const {
-    Value value;
-    if (lookup(key, value)) return value;
-    value = compute();
-    insert(key, value);
-    return value;
-  }
-
   CacheStats stats() const {
     CacheStats total;
     for (const auto& shard : shards_) {

@@ -1,7 +1,7 @@
 // Determinism guarantee of the parallel evaluation engine: because the RNG
 // is consumed only in the serial variation phase and evaluation is pure,
-// every DSE flow must produce bit-identical fronts, archives and evaluation
-// counts at any thread count. These tests pin serial (1 thread) against
+// every DSE flow must produce bit-identical fronts and evaluation counts at
+// any thread count. These tests pin serial (1 thread) against
 // parallel (4 threads) runs of all three flows on the paper's Sobel
 // application (the models/sobel.json system model).
 #include <gtest/gtest.h>
@@ -254,10 +254,10 @@ TEST_F(DeterminismTest, Islands1MatchesHandRolledNsga2) {
   }
 }
 
-TEST_F(DeterminismTest, ArchiveIsThreadCountInvariant) {
-  // Exercise the external archive (batched merge) through the GA driver
-  // itself: the archives of serial and parallel runs must match member for
-  // member.
+TEST_F(DeterminismTest, GaPopulationIsThreadCountInvariant) {
+  // Below the DseOutcome surface: the GA's final population — every
+  // genome, objective vector and violation — must match member for member
+  // between serial and parallel runs.
   const app::Application sobel = app::make_sobel_application();
   const platform::Architecture arch = platform::Architecture::paper_default();
   const core::ClrMappingProblem problem(
@@ -267,7 +267,6 @@ TEST_F(DeterminismTest, ArchiveIsThreadCountInvariant) {
   moea::Nsga2Params params;
   params.population_size = 24;
   params.generations = 8;
-  params.archive_size = 16;
 
   util::set_thread_count(1);
   util::Rng rng_serial(7);
@@ -280,14 +279,13 @@ TEST_F(DeterminismTest, ArchiveIsThreadCountInvariant) {
                                               rng_parallel);
 
   EXPECT_EQ(serial.evaluations, parallel.evaluations);
-  ASSERT_FALSE(serial.archive.empty());
-  ASSERT_EQ(serial.archive.size(), parallel.archive.size());
-  for (std::size_t i = 0; i < serial.archive.size(); ++i) {
-    EXPECT_EQ(serial.archive[i].genome, parallel.archive[i].genome);
-    EXPECT_EQ(serial.archive[i].eval.objectives,
-              parallel.archive[i].eval.objectives);
-    EXPECT_EQ(serial.archive[i].eval.violation,
-              parallel.archive[i].eval.violation);
+  ASSERT_EQ(serial.population.size(), parallel.population.size());
+  for (std::size_t i = 0; i < serial.population.size(); ++i) {
+    EXPECT_EQ(serial.population[i].genome, parallel.population[i].genome);
+    EXPECT_EQ(serial.population[i].eval.objectives,
+              parallel.population[i].eval.objectives);
+    EXPECT_EQ(serial.population[i].eval.violation,
+              parallel.population[i].eval.violation);
   }
   ASSERT_EQ(serial.front.size(), parallel.front.size());
   for (std::size_t i = 0; i < serial.front.size(); ++i) {

@@ -320,6 +320,25 @@ TEST(WireFormatTest, RejectsMalformedIslands) {
                std::runtime_error);
 }
 
+TEST(WireFormatTest, ArchiveSizeParsesOnlyAsZeroAndIsNoLongerWritten) {
+  // The GA's external archive is gone. A v1 spec or journal record carrying
+  // its disabled value still parses; any other value is a typed rejection.
+  const auto with_archive = [](const std::string& value) {
+    return util::json_parse(
+        R"({"format_version": 1, "application": "sobel",
+            "ga": {"population_size": 16, "archive_size": )" +
+        value + "}}");
+  };
+  EXPECT_EQ(io::job_spec_from_json(with_archive("0")).ga.population_size,
+            16u);
+  for (const char* bad : {"12", "1", "-1", "0.5"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(io::job_spec_from_json(with_archive(bad)),
+                 std::runtime_error);
+  }
+  EXPECT_EQ(canon(small_spec()).find("archive_size"), std::string::npos);
+}
+
 TEST(WireFormatTest, ModelKeySeesIslandChanges) {
   // Island sharding changes which search ran, and ModelSession mirrors the
   // spec's island half (server/job.cpp), so the key must see it.

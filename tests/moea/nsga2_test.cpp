@@ -213,65 +213,6 @@ TEST(Nsga2Test, SeedingAcceleratesConvergence) {
             hypervolume(cold.front_objectives(), ref));
 }
 
-// --- External archive ----------------------------------------------------------------
-
-TEST(Nsga2Test, ArchiveDisabledByDefault) {
-  Nsga2Params params;
-  params.population_size = 20;
-  params.generations = 5;
-  util::Rng rng(10);
-  const auto result = run_island_nsga2(params, {}, real_ops(4, zdt1), rng);
-  EXPECT_TRUE(result.archive.empty());
-}
-
-TEST(Nsga2Test, ArchiveNeverWorseThanFinalFront) {
-  Nsga2Params params;
-  params.population_size = 30;
-  params.generations = 20;
-  params.archive_size = 200;
-  util::Rng rng(11);
-  const auto result = run_island_nsga2(params, {}, real_ops(6, zdt1), rng);
-
-  ASSERT_FALSE(result.archive.empty());
-  const Objectives ref{1.1, 11.0};
-  EXPECT_GE(hypervolume(result.archive_objectives(), ref),
-            hypervolume(result.front_objectives(), ref) - 1e-12);
-}
-
-TEST(Nsga2Test, ArchiveIsMutuallyNonDominatedAndFeasible) {
-  auto eval = [](const RealGenome& x) {
-    Evaluation e;
-    e.objectives = {x[0], x[1]};
-    e.violation = std::max(0.0, 0.5 - x[0]);  // x0 >= 0.5 required
-    return e;
-  };
-  Nsga2Params params;
-  params.population_size = 30;
-  params.generations = 15;
-  params.archive_size = 100;
-  util::Rng rng(12);
-  const auto result = run_island_nsga2(params, {}, real_ops(2, eval), rng);
-
-  for (const auto& a : result.archive) {
-    EXPECT_LE(a.eval.violation, 0.0);
-    for (const auto& b : result.archive) {
-      if (&a == &b) continue;
-      EXPECT_FALSE(dominates(a.eval.objectives, b.eval.objectives));
-    }
-  }
-}
-
-TEST(Nsga2Test, ArchiveRespectsCapacity) {
-  Nsga2Params params;
-  params.population_size = 40;
-  params.generations = 30;
-  params.archive_size = 10;
-  util::Rng rng(13);
-  const auto result = run_island_nsga2(params, {}, real_ops(6, zdt1), rng);
-  EXPECT_LE(result.archive.size(), 10u);
-  EXPECT_GE(result.archive.size(), 2u);
-}
-
 // --- Survivor selection / ranking helpers -------------------------------------------
 
 TEST(RankCrowdingTest, RanksMatchFronts) {

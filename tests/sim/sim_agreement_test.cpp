@@ -11,11 +11,13 @@
 #include <cmath>
 #include <cstddef>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "app/sobel.hpp"
 #include "app/task_graph.hpp"
 #include "core/dse.hpp"
+#include "core/experiment.hpp"
 #include "core/sim_bridge.hpp"
 #include "platform/architecture.hpp"
 #include "platform/interconnect.hpp"
@@ -398,6 +400,50 @@ TEST_F(PermanentFaultAgreementTest, RejectsMalformedInjectionInputs) {
                std::invalid_argument);
 }
 
+// ------------------------------------------------ the flows' own fronts
+
+// The analytic QoS the search optimizes, checked on the fronts it returns:
+// run fcCLR, pfCLR and the proposed flow on Sobel at the paper experiments'
+// budget and fault environment (core/experiment), then simulate every front
+// point at 10k trials with the deadline one analytic sigma past the mean.
+// Parallel merges make the analytic makespan a Jensen-biased estimate on a
+// general graph, so the gate is full agreement (compare_design_point) on at
+// least 90% of the points, not on every one.
+TEST(FlowFrontSimAgreementTest, SobelFrontsAgreeWithAnalyticQosAtTenThousandTrials) {
+  const core::DseMethodology dse(app::make_sobel_application(),
+                                 platform::Architecture::paper_default(),
+                                 core::bench_system_analyzer());
+  const core::DseOptions options = core::bench_options(11);
+  const core::ClrMappingProblem fc = dse.build_fcclr_problem(options);
+  const core::ClrMappingProblem pf =
+      dse.build_pfclr_problem(options, dse.run_tdse(options));
+  // Each front decodes against the problem in its own genome encoding.
+  const std::pair<const core::ClrMappingProblem*, core::DseOutcome> flows[] = {
+      {&fc, dse.run_fcclr(options, fc)},
+      {&pf, dse.run_pfclr(options, pf)},
+      {&fc, dse.run_proposed(options, pf, fc)}};
+
+  ValidationReport report;
+  for (const auto& [problem, outcome] : flows) {
+    ASSERT_FALSE(outcome.front_genomes.empty());
+    for (const core::MappingGenome& genome : outcome.front_genomes) {
+      const sched::QosMetrics analytic = problem->qos(genome);
+      SimOptions sim_options;
+      sim_options.trials = 10000;
+      sim_options.seed = 7;
+      sim_options.deadline_us =
+          analytic.makespan_us + analytic.makespan_stddev_us;
+      report.rows.push_back(compare_design_point(
+          "front point", analytic,
+          core::simulate_design_point(*problem, genome, sim_options)));
+    }
+  }
+  EXPECT_GE(report.agreement(), 0.9)
+      << report.rows.size() << " front points: makespan agreement "
+      << report.makespan_agreement() << ", error agreement "
+      << report.error_agreement();
+}
+
 // The end-to-end acceptance criterion of the resilience axis: run the
 // k-resilient DSE on the paper's Sobel system, then fault-inject EVERY
 // point of the k=1 front at 10k trials and require the Monte Carlo Wilson
@@ -406,16 +452,11 @@ TEST_F(PermanentFaultAgreementTest, RejectsMalformedInjectionInputs) {
 // injection estimates (per-trial indicator proportions / expectations), so
 // agreement here certifies the whole chain: failure enumeration, repair,
 // degraded QoS scoring, mixture arithmetic, and the injector itself.
-TEST(KResilientOracleTest, FrontAgreesWithAnalyticPredictionAtTenThousandTrials) {
-  core::DseOptions options;
-  options.ga.population_size = 16;
-  options.ga.generations = 6;
-  options.seed = 9;
-  options.resilience.max_failures = 1;
-
+void expect_kresilient_front_agrees(const core::DseOptions& options,
+                                    reliability::TaskAnalyzer analyzer) {
   const core::DseMethodology dse(app::make_sobel_application(),
                                  platform::Architecture::paper_default(),
-                                 reliability::TaskAnalyzer::paper_default());
+                                 std::move(analyzer));
   const core::DseOutcome outcome = dse.run_kresilient(options);
   ASSERT_FALSE(outcome.front_genomes.empty());
   const core::ResilientProblem problem = dse.build_resilient_problem(options);
@@ -446,6 +487,26 @@ TEST(KResilientOracleTest, FrontAgreesWithAnalyticPredictionAtTenThousandTrials)
     EXPECT_LT(pred.availability, 1.0);
     EXPECT_GT(injected.available_trials, 9000u);
   }
+}
+
+TEST(KResilientOracleTest, FrontAgreesWithAnalyticPredictionAtTenThousandTrials) {
+  core::DseOptions options;
+  options.ga.population_size = 16;
+  options.ga.generations = 6;
+  options.seed = 9;
+  options.resilience.max_failures = 1;
+  expect_kresilient_front_agrees(options,
+                                 reliability::TaskAnalyzer::paper_default());
+}
+
+// The same oracle on the front the paper experiments' budget and fault
+// environment produce: a larger front, from a longer search.
+TEST(KResilientOracleTest, PaperBudgetFrontAgreesWithAnalyticPrediction) {
+  core::DseOptions options = core::bench_options(9);
+  options.resilience.max_failures = 1;
+  options.resilience.mission_hours = 20000.0;
+  options.resilience.degraded_spec = options.spec;
+  expect_kresilient_front_agrees(options, core::bench_system_analyzer());
 }
 
 }  // namespace

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/json.hpp"
-
 namespace clrearly::sim {
 namespace {
 
@@ -140,28 +138,6 @@ TEST(ValidationReportTest, CsvHasHeaderAndOneRowPerPoint) {
 
   EXPECT_THROW(write_validation_csv("/nonexistent-dir/out.csv", report),
                std::runtime_error);
-}
-
-TEST(ValidationReportTest, JsonCarriesRowsAndFractions) {
-  const ValidationReport report = make_report();
-  const std::string json =
-      util::json_serialize(validation_report_json(report));
-  EXPECT_NE(json.find("\"rows\""), std::string::npos);
-  EXPECT_NE(json.find("\"agreement\""), std::string::npos);
-  EXPECT_NE(json.find("\"bad-makespan\""), std::string::npos);
-  EXPECT_NE(json.find("\"makespan_agrees\""), std::string::npos);
-
-  // A row simulated without a deadline omits the deadline block.
-  const std::string row_json =
-      util::json_serialize(validation_row_json(report.rows.front()));
-  EXPECT_EQ(row_json.find("\"deadline_us\""), std::string::npos);
-  SimResult with_deadline = make_simulated();
-  with_deadline.deadline_us = 110.0;
-  const std::string deadline_json = util::json_serialize(validation_row_json(
-      compare_design_point("d", make_analytic(), with_deadline)));
-  EXPECT_NE(deadline_json.find("\"deadline_us\""), std::string::npos);
-  EXPECT_NE(deadline_json.find("\"analytic_deadline_miss\""),
-            std::string::npos);
 }
 
 }  // namespace

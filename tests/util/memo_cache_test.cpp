@@ -93,34 +93,18 @@ TEST(MemoCacheTest, CapacityIsAHardBoundAndEvictionsAreCounted) {
   EXPECT_LE(survivors, bound);
 }
 
-TEST(MemoCacheTest, GetOrComputeComputesOncePerResidentKey) {
-  Cache cache(256);
-  int computes = 0;
-  for (int round = 0; round < 5; ++round) {
-    const std::uint64_t v = cache.get_or_compute(key_of(9), [&] {
-      ++computes;
-      return std::uint64_t{99};
-    });
-    EXPECT_EQ(v, 99u);
-  }
-  EXPECT_EQ(computes, 1);
-}
-
 TEST(MemoCacheTest, ZeroCapacityCacheIsDisabledPassThrough) {
   Cache cache(0);
   EXPECT_FALSE(cache.enabled());
   EXPECT_EQ(cache.capacity(), 0u);
-  int computes = 0;
-  for (int round = 0; round < 3; ++round) {
-    cache.get_or_compute(key_of(1), [&] {
-      ++computes;
-      return std::uint64_t{1};
-    });
-  }
-  EXPECT_EQ(computes, 3);
+  // Every insert is dropped, so every lookup misses.
   std::uint64_t out = 0;
-  cache.insert(key_of(1), 1);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_FALSE(cache.lookup(key_of(1), out));
+    cache.insert(key_of(1), 1);
+  }
   EXPECT_FALSE(cache.lookup(key_of(1), out));
+  EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(MemoCacheTest, ClearDropsEntriesButKeepsCounters) {
@@ -158,8 +142,11 @@ TEST(MemoCacheTest, ConcurrentInsertLookupUnderThreadPool) {
   parallel_for(workers, [&](std::size_t w) {
     for (std::uint64_t i = 0; i < per_worker; ++i) {
       const std::uint64_t n = i % 512;  // overlapping key set across workers
-      const std::uint64_t v = cache.get_or_compute(
-          key_of(n), [n] { return n * 3; });
+      std::uint64_t v = 0;
+      if (!cache.lookup(key_of(n), v)) {
+        v = n * 3;
+        cache.insert(key_of(n), v);
+      }
       if (v != n * 3) ++wrong[w];
       cache.insert(key_of(n + 100000 + w * per_worker), n);  // churn
     }

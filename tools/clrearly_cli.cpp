@@ -24,7 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -224,6 +224,37 @@ int cmd_tdse(const std::vector<std::string>& args) {
   return 0;
 }
 
+/// A nominal flow's front with the problem in its genome encoding: pfCLR
+/// genomes index the tDSE Pareto points, fcCLR and proposed genomes are
+/// full-configuration ones, so a front decodes only against the problem
+/// that produced it.
+struct NominalFlowRun {
+  core::DseOutcome outcome;
+  std::optional<core::ClrMappingProblem> problem;  ///< empty: unknown flow
+};
+
+/// Run `flow` (fcclr | pfclr | proposed), building each problem once.
+NominalFlowRun run_nominal_flow(const core::DseMethodology& dse,
+                                const core::DseOptions& options,
+                                const std::string& flow) {
+  NominalFlowRun run;
+  if (flow == "fcclr") {
+    run.problem.emplace(dse.build_fcclr_problem(options));
+    run.outcome = dse.run_fcclr(options, *run.problem);
+  } else if (flow == "pfclr" || flow == "proposed") {
+    core::ClrMappingProblem pf =
+        dse.build_pfclr_problem(options, dse.run_tdse(options));
+    if (flow == "pfclr") {
+      run.outcome = dse.run_pfclr(options, pf);
+      run.problem.emplace(std::move(pf));
+    } else {
+      run.problem.emplace(dse.build_fcclr_problem(options));
+      run.outcome = dse.run_proposed(options, pf, *run.problem);
+    }
+  }
+  return run;
+}
+
 int cmd_dse(const std::vector<std::string>& args) {
   util::ArgParser parser("clrearly dse", "system-level CLR-aware task mapping");
   declare_common(parser);
@@ -265,13 +296,8 @@ int cmd_dse(const std::vector<std::string>& args) {
 
   const std::string flow = parser.get("flow");
   core::DseOutcome outcome;
-  if (flow == "fcclr") {
-    outcome = dse.run_fcclr(options);
-  } else if (flow == "pfclr") {
-    outcome = dse.run_pfclr(options);
-  } else if (flow == "proposed") {
-    outcome = dse.run_proposed(options);
-  } else if (flow == "agnostic") {
+  std::optional<core::ClrMappingProblem> problem;  // decodes the front
+  if (flow == "agnostic") {
     const core::AgnosticOutcome agnostic = core::run_agnostic(dse, options);
     outcome.front = agnostic.combined_front;
     outcome.evaluations = agnostic.evaluations;
@@ -281,8 +307,13 @@ int cmd_dse(const std::vector<std::string>& args) {
     options.resilience.degraded_spec = options.spec;
     outcome = dse.run_kresilient(options);
   } else {
-    std::fprintf(stderr, "unknown flow '%s'\n", flow.c_str());
-    return 2;
+    NominalFlowRun run = run_nominal_flow(dse, options, flow);
+    if (!run.problem) {
+      std::fprintf(stderr, "unknown flow '%s'\n", flow.c_str());
+      return 2;
+    }
+    outcome = std::move(run.outcome);
+    problem = std::move(run.problem);
   }
 
   std::printf("%s: %zu front points, %zu evaluations\n", flow.c_str(),
@@ -308,10 +339,10 @@ int cmd_dse(const std::vector<std::string>& args) {
 
   if ((parser.has("report") || parser.has("gantt")) &&
       !outcome.front_genomes.empty()) {
-    const core::ClrMappingProblem problem(application, arch, analyzer,
-                                          options.objectives, options.spec);
+    // k-resilient genomes are full-configuration ones.
+    if (!problem) problem.emplace(dse.build_fcclr_problem(options));
     if (parser.has("report")) {
-      for (const auto& c : problem.report(outcome.front_genomes[fastest])) {
+      for (const auto& c : problem->report(outcome.front_genomes[fastest])) {
         std::printf("%-12s -> %-14s on PE%zu (%s)  %s\n", c.task_name.c_str(),
                     c.impl_name.c_str(), c.pe, c.pe_type_name.c_str(),
                     c.config_text.c_str());
@@ -320,7 +351,7 @@ int cmd_dse(const std::vector<std::string>& args) {
     if (parser.has("gantt")) {
       sched::Schedule schedule;
       sched::estimate_qos(application, arch,
-                          problem.decode(outcome.front_genomes[fastest]),
+                          problem->decode(outcome.front_genomes[fastest]),
                           outcome.front_genomes[fastest].order, &schedule);
       std::printf("%s", sched::gantt_chart(schedule, application.graph,
                                            arch.num_pes())
@@ -363,30 +394,14 @@ int cmd_simulate(const std::vector<std::string>& args) {
   options.seed = parser.get_uint("seed");
   options.island = moea::island_params_from_args(parser);
 
-  // Run the flow and build a problem in the *same encoding* as the returned
-  // genomes (pfCLR fronts decode against the pfCLR problem over the same
-  // tDSE points; fcclr and proposed fronts are full-configuration genomes).
   const std::string flow = parser.get("flow");
-  core::DseOutcome outcome;
-  std::unique_ptr<core::ClrMappingProblem> problem;
-  if (flow == "fcclr" || flow == "proposed") {
-    outcome = flow == "fcclr" ? dse.run_fcclr(options)
-                              : dse.run_proposed(options);
-    problem = std::make_unique<core::ClrMappingProblem>(
-        application, arch, analyzer, options.objectives, options.spec);
-  } else if (flow == "pfclr") {
-    const std::vector<core::TdseResult> tdse = dse.run_tdse(options);
-    outcome = dse.run_pfclr(options, tdse);
-    std::vector<std::vector<core::TaskDesignPoint>> points;
-    points.reserve(tdse.size());
-    for (const core::TdseResult& r : tdse) points.push_back(r.pareto);
-    problem = std::make_unique<core::ClrMappingProblem>(
-        application, arch, analyzer, options.objectives, options.spec,
-        std::move(points));
-  } else {
+  const NominalFlowRun run = run_nominal_flow(dse, options, flow);
+  if (!run.problem) {
     std::fprintf(stderr, "unknown flow '%s'\n", flow.c_str());
     return 2;
   }
+  const core::DseOutcome& outcome = run.outcome;
+  const core::ClrMappingProblem& problem = *run.problem;
   if (outcome.front_genomes.empty()) {
     std::fprintf(stderr, "flow produced no feasible front points\n");
     return 1;
@@ -404,9 +419,9 @@ int cmd_simulate(const std::vector<std::string>& args) {
   sim::ValidationReport report;
   for (std::size_t i = 0; i < count; ++i) {
     const core::MappingGenome& genome = outcome.front_genomes[i];
-    const sched::QosMetrics analytic = problem->qos(genome);
+    const sched::QosMetrics analytic = problem.qos(genome);
     const sim::SimResult simulated =
-        core::simulate_design_point(*problem, genome, sim_options);
+        core::simulate_design_point(problem, genome, sim_options);
     report.rows.push_back(sim::compare_design_point(
         flow + "#" + std::to_string(i), analytic, simulated));
   }
