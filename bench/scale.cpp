@@ -10,9 +10,9 @@
 //   * convergence — wall-clock for the island run to first match the
 //     single-population run's final hypervolume (speedup_wall_to_single_hv),
 //     the Quan & Pimentel bias-elitist effect the island model exists for.
-// Emits BENCH_scale.json; scripts/check_bench.py validates the schema and
-// soft-gates the headline speedup, scripts/plot_results.py renders the
-// curves.
+// Emits BENCH_scale.json (scripts/plot_results.py renders the curves) and
+// exits 1 when a size ran unequal budgets or a curve does not end at its
+// run's evaluation count.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -78,6 +78,20 @@ ScaleRun timed_run(const core::DseMethodology& methodology,
   run.wall_seconds = seconds_since(start);
   run.evaluations = outcome.evaluations;
   return run;
+}
+
+/// True when `run`'s curve ends at the run's evaluation count; otherwise
+/// says so on stderr.
+bool curve_ends_at_budget(const ScaleRun& run, std::size_t tasks,
+                          const char* label) {
+  if (!run.curve.empty() && run.curve.back().evaluations == run.evaluations) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "bench_scale: FAIL: %zu-task %s curve does not end at its "
+               "%zu evaluations\n",
+               tasks, label, run.evaluations);
+  return false;
 }
 
 util::JsonValue curve_json(const std::vector<CurvePoint>& curve) {
@@ -173,8 +187,7 @@ int main(int argc, char** argv) {
       migration.migration_interval, migration.migration_size);
 
   util::JsonArray size_reports;
-  double headline_speedup = 0.0;
-  double headline_hv_ratio = 0.0;
+  bool ok = true;
   for (std::size_t tasks : sizes) {
     const app::Application application =
         app::make_synthetic_application(tasks, 10, kAppSeedBase + tasks);
@@ -182,6 +195,20 @@ int main(int argc, char** argv) {
 
     const ScaleRun single = timed_run(methodology, options, 1);
     const ScaleRun sharded = timed_run(methodology, options, compare_islands);
+    const bool equal_budget = single.evaluations == sharded.evaluations;
+    if (!equal_budget) {
+      std::fprintf(stderr,
+                   "bench_scale: FAIL: %zu tasks ran unequal budgets (%zu "
+                   "single vs %zu island evaluations)\n",
+                   tasks, single.evaluations, sharded.evaluations);
+      ok = false;
+    }
+    bool curves_end = curve_ends_at_budget(single, tasks, "single");
+    curves_end = curve_ends_at_budget(sharded, tasks, "islands") && curves_end;
+    if (!curves_end) {
+      ok = false;
+      continue;
+    }
 
     // Hypervolume under one reference shared by every snapshot of both
     // runs, so curve points and final fronts are directly comparable.
@@ -222,7 +249,6 @@ int main(int argc, char** argv) {
                                ? single.wall_seconds / time_to_single_hv
                                : 0.0;
     const double hv_ratio = hv_single > 0.0 ? hv_sharded / hv_single : 0.0;
-    const bool equal_budget = single.evaluations == sharded.evaluations;
 
     std::printf(
         "%zu tasks: single %.2fs (%zu evals, hv %.4g) | %zu islands %.2fs "
@@ -234,11 +260,6 @@ int main(int argc, char** argv) {
             ? (std::to_string(time_to_single_hv) + "s").c_str()
             : "never",
         speedup, equal_budget ? "equal" : "UNEQUAL");
-
-    if (tasks == 1000 || sizes.size() == 1) {
-      headline_speedup = speedup;
-      headline_hv_ratio = hv_ratio;
-    }
 
     size_reports.push_back(util::JsonValue(util::JsonObject{
         {"tasks", tasks},
@@ -262,13 +283,11 @@ int main(int argc, char** argv) {
   report["migration_size"] = migration.migration_size;
   report["seed"] = options.seed;
   report["fast_mode"] = core::fast_mode();
-  report["speedup_wall_to_single_hv"] = headline_speedup;
-  report["hv_ratio"] = headline_hv_ratio;
   report["sizes"] = std::move(size_reports);
 
   const std::string out = args.get("out");
   std::ofstream stream(out);
   stream << util::json_serialize(util::JsonValue(std::move(report))) << "\n";
   std::printf("[wrote %s]\n", out.c_str());
-  return 0;
+  return ok ? 0 : 1;
 }

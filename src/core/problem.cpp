@@ -75,18 +75,7 @@ ClrMappingProblem::ClrMappingProblem(app::Application application,
       axes_(axes),
       mode_(Mode::kFullConfig),
       plan_(app_, arch_, objectives_.fields_read() | spec_.fields_read()) {
-  app_.validate();
-  if (arch_.num_pes() == 0) {
-    throw std::invalid_argument("ClrMappingProblem: architecture has no PEs");
-  }
-  pes_by_class_.assign(kNumClasses, {});
-  for (const platform::Pe& pe : arch_.pes()) {
-    pes_by_class_[class_index(arch_.type_of(pe.id).pe_class)].push_back(pe.id);
-  }
-  pes_by_type_.resize(arch_.num_types());
-  for (std::size_t t = 0; t < arch_.num_types(); ++t) {
-    pes_by_type_[t] = arch_.pes_of_type(t);
-  }
+  group_pes();
   build_full_config_tables();
   build_layout();
 }
@@ -105,10 +94,7 @@ ClrMappingProblem::ClrMappingProblem(
       mode_(Mode::kParetoFiltered),
       points_(std::move(pareto_points)),
       plan_(app_, arch_, objectives_.fields_read() | spec_.fields_read()) {
-  app_.validate();
-  if (arch_.num_pes() == 0) {
-    throw std::invalid_argument("ClrMappingProblem: architecture has no PEs");
-  }
+  group_pes();
   if (points_.size() < app_.graph.num_types()) {
     throw std::invalid_argument(
         "ClrMappingProblem: Pareto point set missing for some task type");
@@ -119,6 +105,22 @@ ClrMappingProblem::ClrMappingProblem(
           "ClrMappingProblem: empty Pareto set for task type " +
           std::to_string(type));
     }
+    // Every Pareto point must land on a PE type that has instances.
+    for (const TaskDesignPoint& p : points_[type]) {
+      if (p.pe_type >= arch_.num_types() || pes_by_type_[p.pe_type].empty()) {
+        throw std::invalid_argument(
+            "ClrMappingProblem: Pareto point references an unavailable PE "
+            "type");
+      }
+    }
+  }
+  build_layout();
+}
+
+void ClrMappingProblem::group_pes() {
+  app_.validate();
+  if (arch_.num_pes() == 0) {
+    throw std::invalid_argument("ClrMappingProblem: architecture has no PEs");
   }
   pes_by_class_.assign(kNumClasses, {});
   for (const platform::Pe& pe : arch_.pes()) {
@@ -127,19 +129,7 @@ ClrMappingProblem::ClrMappingProblem(
   pes_by_type_.resize(arch_.num_types());
   for (std::size_t t = 0; t < arch_.num_types(); ++t) {
     pes_by_type_[t] = arch_.pes_of_type(t);
-    // Every Pareto point must land on a PE type that has instances.
-    for (std::size_t type = 0; type < app_.graph.num_types(); ++type) {
-      for (const TaskDesignPoint& p : points_[type]) {
-        if (p.pe_type >= arch_.num_types() ||
-            arch_.pes_of_type(p.pe_type).empty()) {
-          throw std::invalid_argument(
-              "ClrMappingProblem: Pareto point references an unavailable PE "
-              "type");
-        }
-      }
-    }
   }
-  build_layout();
 }
 
 void ClrMappingProblem::build_full_config_tables() {
@@ -181,26 +171,16 @@ void ClrMappingProblem::build_full_config_tables() {
     const platform::PeType& pe = arch_.type(sweep.pe_type);
     const std::size_t d_n = pe.dvfs.size();
     auto& table = metrics_[sweep.type][sweep.impl][sweep.pe_type];
-    // Collect the axis-reachable configs (pinned axes always decode to
-    // index 0) and their table slots, then evaluate the whole sweep through
-    // the batched chain path — each worker batches its own sweep, so the
-    // thread-local batch workspaces never contend.
-    std::vector<reliability::ClrConfig> configs;
-    std::vector<std::size_t> slots;
-    for (std::size_t h = 0; h < (axes_.hw ? h_n : 1); ++h) {
-      for (std::size_t s = 0; s < (axes_.ssw ? s_n : 1); ++s) {
-        for (std::size_t a = 0; a < (axes_.asw ? a_n : 1); ++a) {
-          for (std::size_t d = 0; d < (axes_.dvfs ? d_n : 1); ++d) {
-            configs.push_back(reliability::ClrConfig{h, s, a, d});
-            slots.push_back(((h * s_n + s) * a_n + a) * d_n + d);
-          }
-        }
-      }
-    }
+    // Evaluate the axis-reachable configs (pinned axes always decode to
+    // index 0) as one batch through the chain path — each worker batches
+    // its own sweep, so the thread-local batch workspaces never contend.
+    const std::vector<reliability::ClrConfig> configs =
+        space.enumerate(d_n, axes_);
     const std::vector<reliability::TaskMetrics> evaluated =
         analyzer_.evaluate_batch(impl, pe, configs);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      table[slots[i]] = evaluated[i];
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const reliability::ClrConfig& c = configs[i];
+      table[((c.hw * s_n + c.ssw) * a_n + c.asw) * d_n + c.dvfs] = evaluated[i];
     }
   });
 }

@@ -200,6 +200,8 @@ class ClrMappingProblem {
   double log10_design_space_size() const;
 
  private:
+  /// Validates the application and fills pes_by_class_ / pes_by_type_.
+  void group_pes();
   void build_full_config_tables();
   void build_layout();
 

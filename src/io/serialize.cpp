@@ -540,7 +540,6 @@ std::string JobSpec::model_key() const {
                    {"architecture", to_json(architecture)},
                    {"environment_factor", scenario.environment_factor},
                    {"objectives", to_json(objectives)},
-                   {"islands", to_json(island)},
                    {"qos", to_json(spec)},
                    {"resilience", to_json(resilience)},
                    {"tdse_objectives", to_json(tdse_objectives)}};

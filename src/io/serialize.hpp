@@ -136,11 +136,10 @@ struct JobSpec {
   core::DseOptions options() const;
 
   /// Canonical serialization of the *model* half (application, architecture,
-  /// scenario environment, objectives, spec, tDSE ladder, island sharding) —
+  /// scenario environment, objectives, spec, tDSE ladder, resilience) —
   /// everything that determines ClrMappingProblem construction and
-  /// evaluation, and nothing that doesn't (seed, GA budget, flow, label).
-  /// Jobs with equal model keys can share problem instances and their memo
-  /// caches.
+  /// evaluation, and nothing that doesn't (seed, GA budget, island sharding,
+  /// flow, label). Jobs with equal model keys can share problem instances.
   std::string model_key() const;
 };
 

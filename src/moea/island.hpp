@@ -310,18 +310,12 @@ Nsga2Result<Genome> run_island_nsga2(const Nsga2Params& params,
       }
       const auto fronts = non_dominated_sort(points, violations);
       std::vector<std::size_t> rank(points.size(), 1);
-      std::size_t front_size = 0;
-      std::vector<Objectives> snapshot;
       if (!fronts.empty()) {
-        front_size = fronts.front().size();
-        for (std::size_t i : fronts.front()) {
-          rank[i] = 0;
-          if (is_feasible(violations[i])) snapshot.push_back(points[i]);
-        }
+        for (std::size_t i : fronts.front()) rank[i] = 0;
       }
-      params.on_generation(GenerationProgress{
-          done_gens, params.generations, total_evaluations(), front_size,
-          detail::front_bbox_volume(points, rank, violations), &snapshot});
+      detail::report_progress(params.on_generation, done_gens,
+                              params.generations, total_evaluations(), points,
+                              violations, rank);
     }
   }
 
@@ -348,15 +342,10 @@ Nsga2Result<Genome> run_island_nsga2(const Nsga2Params& params,
 
   if (params.on_generation) {
     std::vector<std::size_t> rank(points.size(), 1);
-    std::vector<Objectives> snapshot;
-    for (std::size_t i : merged.front) {
-      rank[i] = 0;
-      if (is_feasible(violations[i])) snapshot.push_back(points[i]);
-    }
-    params.on_generation(GenerationProgress{
-        params.generations, params.generations, merged.evaluations,
-        merged.front.size(),
-        detail::front_bbox_volume(points, rank, violations), &snapshot});
+    for (std::size_t i : merged.front) rank[i] = 0;
+    detail::report_progress(params.on_generation, params.generations,
+                            params.generations, merged.evaluations, points,
+                            violations, rank);
   }
   return merged;
 }

@@ -166,35 +166,57 @@ void evaluate_append(const Nsga2Ops<Genome>& ops, std::vector<Genome> genomes,
   }
 }
 
-/// Bounding-box volume of the feasible rank-0 points: the product over
-/// objectives of (max - min) across the front. A cheap convergence proxy
-/// for per-generation monitoring — it tracks front *extent*, not true
-/// hypervolume (no reference point, no dominated-volume accounting), but
-/// costs O(front * m) and needs no extra sorting. 0 for fronts of fewer
-/// than two points.
-inline double front_bbox_volume(const std::vector<Objectives>& points,
-                                const std::vector<std::size_t>& rank,
-                                const std::vector<double>& violations) {
-  std::size_t members = 0;
+/// First-front size and bounding-box proxy of one progress report.
+struct FrontStats {
+  std::size_t size = 0;
+  /// Product over objectives of (max - min) across the front's feasible
+  /// members; 0 for fewer than two. A cheap convergence proxy: it tracks
+  /// the front's extent, not true hypervolume (no reference point, no
+  /// dominated-volume accounting), in O(front * m) with no extra sorting.
+  double hv_proxy = 0.0;
+};
+
+/// The progress report of every GA call site: each generation, the final
+/// front, and run_island_nsga2's epochs and merge. The first front is the
+/// members the caller ranked 0 — the engine's region-biased ranks, or a
+/// union front — and is never re-ranked here; the proxy and the snapshot
+/// keep its feasible members. Fires `hook` (when set) with the snapshot.
+inline FrontStats report_progress(const ProgressHook& hook,
+                                  std::size_t generation,
+                                  std::size_t generations,
+                                  std::size_t evaluations,
+                                  const std::vector<Objectives>& points,
+                                  const std::vector<double>& violations,
+                                  const std::vector<std::size_t>& rank) {
+  FrontStats stats;
+  std::size_t feasible = 0;
   Objectives lo;
   Objectives hi;
+  std::vector<Objectives> snapshot;  // copied only for the hook
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (rank[i] != 0 || !is_feasible(violations[i])) continue;
-    if (members == 0) {
+    if (rank[i] != 0) continue;
+    ++stats.size;
+    if (!is_feasible(violations[i])) continue;
+    if (hook) snapshot.push_back(points[i]);
+    if (feasible++ == 0) {
       lo = points[i];
       hi = points[i];
-    } else {
-      for (std::size_t m = 0; m < points[i].size(); ++m) {
-        lo[m] = std::min(lo[m], points[i][m]);
-        hi[m] = std::max(hi[m], points[i][m]);
-      }
+      continue;
     }
-    ++members;
+    for (std::size_t m = 0; m < points[i].size(); ++m) {
+      lo[m] = std::min(lo[m], points[i][m]);
+      hi[m] = std::max(hi[m], points[i][m]);
+    }
   }
-  if (members < 2) return 0.0;
-  double volume = 1.0;
-  for (std::size_t m = 0; m < lo.size(); ++m) volume *= hi[m] - lo[m];
-  return volume;
+  if (feasible >= 2) {
+    stats.hv_proxy = 1.0;
+    for (std::size_t m = 0; m < lo.size(); ++m) stats.hv_proxy *= hi[m] - lo[m];
+  }
+  if (hook) {
+    hook(GenerationProgress{generation, generations, evaluations, stats.size,
+                            stats.hv_proxy, &snapshot});
+  }
+  return stats;
 }
 
 }  // namespace detail
@@ -289,33 +311,16 @@ class Nsga2Engine {
 
     const RankCrowding rc = rank_and_crowding(points_, selection_violations());
 
-    // Per-generation convergence telemetry from already-computed data:
-    // first-front size and the bounding-box hypervolume proxy. Pure reads —
-    // never feeds back into selection or the RNG.
-    {
-      std::size_t front_size = 0;
-      for (std::size_t r : rc.rank) front_size += (r == 0) ? 1 : 0;
-      const double hv_proxy =
-          detail::front_bbox_volume(points_, rc.rank, violations_);
-      front_size_metric().set(static_cast<double>(front_size));
-      hv_proxy_metric().set(hv_proxy);
-      if (util::trace_enabled()) {
-        util::trace_counter("nsga2.front_size",
-                            static_cast<double>(front_size));
-        util::trace_counter("nsga2.hv_proxy", hv_proxy);
-      }
-      if (params_.on_generation) {
-        std::vector<Objectives> snapshot;
-        for (std::size_t i = 0; i < points_.size(); ++i) {
-          if (rc.rank[i] == 0 && is_feasible(violations_[i])) {
-            snapshot.push_back(points_[i]);
-          }
-        }
-        params_.on_generation(GenerationProgress{gen, params_.generations,
-                                                 result_.evaluations,
-                                                 front_size, hv_proxy,
-                                                 &snapshot});
-      }
+    // Per-generation convergence telemetry from already-computed data. Pure
+    // reads — never feeds back into selection or the RNG.
+    const detail::FrontStats front = detail::report_progress(
+        params_.on_generation, gen, params_.generations, result_.evaluations,
+        points_, violations_, rc.rank);
+    front_size_metric().set(static_cast<double>(front.size));
+    hv_proxy_metric().set(front.hv_proxy);
+    if (util::trace_enabled()) {
+      util::trace_counter("nsga2.front_size", static_cast<double>(front.size));
+      util::trace_counter("nsga2.hv_proxy", front.hv_proxy);
     }
 
     auto better = [&](std::size_t a, std::size_t b) {
@@ -410,14 +415,9 @@ class Nsga2Engine {
       // always see generation == generations exactly once per completed run.
       std::vector<std::size_t> rank(points_.size(), 1);
       for (std::size_t i : result_.front) rank[i] = 0;
-      std::vector<Objectives> snapshot;
-      for (std::size_t i : result_.front) {
-        if (is_feasible(violations_[i])) snapshot.push_back(points_[i]);
-      }
-      params_.on_generation(GenerationProgress{
-          params_.generations, params_.generations, result_.evaluations,
-          result_.front.size(),
-          detail::front_bbox_volume(points_, rank, violations_), &snapshot});
+      detail::report_progress(params_.on_generation, params_.generations,
+                              params_.generations, result_.evaluations,
+                              points_, violations_, rank);
     }
     return std::move(result_);
   }

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace clrearly::moea {
 
@@ -32,19 +33,8 @@ bool constrained_dominates(const Objectives& a, double violation_a,
 
 std::vector<std::size_t> pareto_front_indices(
     const std::vector<Objectives>& points) {
-  std::vector<std::size_t> front;
-  front.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    bool is_dominated = false;
-    for (std::size_t j = 0; j < points.size(); ++j) {
-      if (i != j && dominates(points[j], points[i])) {
-        is_dominated = true;
-        break;
-      }
-    }
-    if (!is_dominated) front.push_back(i);
-  }
-  return front;
+  std::vector<std::vector<std::size_t>> fronts = non_dominated_sort(points);
+  return fronts.empty() ? std::vector<std::size_t>{} : std::move(fronts[0]);
 }
 
 std::vector<Objectives> pareto_filter(const std::vector<Objectives>& points) {

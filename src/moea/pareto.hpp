@@ -27,8 +27,9 @@ bool dominates(const Objectives& a, const Objectives& b);
 bool constrained_dominates(const Objectives& a, double violation_a,
                            const Objectives& b, double violation_b);
 
-/// Indices of the non-dominated points (first Pareto front). Duplicate
-/// points are all retained. O(n^2 m).
+/// Indices of the non-dominated points, ascending: the first front of
+/// non_dominated_sort(points), so it shares that kernel's cost and input
+/// checks. Duplicate points are all retained.
 std::vector<std::size_t> pareto_front_indices(
     const std::vector<Objectives>& points);
 

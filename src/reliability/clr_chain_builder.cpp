@@ -172,11 +172,6 @@ double ClrChainParams::pne_for_interval(std::size_t i) const {
   return std::exp(-lambda_per_us * interval_time(i));
 }
 
-double ClrChainParams::pne_per_interval() const {
-  const double t_ici = exec_time_us / static_cast<double>(intervals);
-  return std::exp(-lambda_per_us * t_ici);
-}
-
 util::Key128 chain_cache_key(const ClrChainParams& p) {
   p.validate();
   util::Key128Stream key;

@@ -55,10 +55,6 @@ struct ClrChainParams {
   /// Probability of error-free useful execution of interval `i`:
   /// pne_i = exp(-lambda * interval_time(i)).
   double pne_for_interval(std::size_t i) const;
-
-  /// pne of the first interval under an equal split — kept for the common
-  /// equal-interval case and backward compatibility.
-  double pne_per_interval() const;
 };
 
 /// Reference construction of the Fig. 3a timing (`functional` = false,

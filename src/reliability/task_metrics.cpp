@@ -166,19 +166,10 @@ std::vector<TaskMetrics> TaskAnalyzer::evaluate_jobs(
 std::vector<TaskMetrics> TaskAnalyzer::evaluate_batch(
     const BaseImpl& impl, const platform::PeType& pe,
     std::span<const ClrConfig> configs) const {
-  std::vector<ClrChainParams> params;
-  params.reserve(configs.size());
-  for (const ClrConfig& config : configs) {
-    params.push_back(chain_params(impl, pe, config));
-  }
-  const std::vector<ClrChainAnalysis> chains = analyze_clr_chain_batch(params);
-
-  std::vector<TaskMetrics> out;
-  out.reserve(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    out.push_back(metrics_from_analysis(impl, pe, configs[i], chains[i]));
-  }
-  return out;
+  std::vector<EvalJob> jobs;
+  jobs.reserve(configs.size());
+  for (const ClrConfig& config : configs) jobs.push_back({&impl, &pe, config});
+  return evaluate_jobs(jobs);
 }
 
 }  // namespace clrearly::reliability

@@ -113,7 +113,7 @@ class TaskAnalyzer {
   std::vector<TaskMetrics> evaluate_jobs(std::span<const EvalJob> jobs) const;
 
   /// The common sweep shape — one (impl, pe) pair under many
-  /// configurations — batched the same way.
+  /// configurations — as one evaluate_jobs call.
   std::vector<TaskMetrics> evaluate_batch(const BaseImpl& impl,
                                           const platform::PeType& pe,
                                           std::span<const ClrConfig> configs) const;
@@ -128,7 +128,7 @@ class TaskAnalyzer {
  private:
   /// The non-chain half of an evaluation: power / thermal / aging /
   /// footprint derived from (impl, pe, config) plus the already-solved
-  /// chain analysis. Shared by evaluate_jobs and evaluate_batch.
+  /// chain analysis.
   TaskMetrics metrics_from_analysis(const BaseImpl& impl,
                                     const platform::PeType& pe,
                                     const ClrConfig& config,

@@ -200,11 +200,6 @@ std::optional<HttpRequest> RequestReader::next(int idle_timeout_ms) {
   return request;
 }
 
-std::optional<HttpRequest> read_request(int fd) {
-  RequestReader reader(fd);
-  return reader.next(/*idle_timeout_ms=*/kKeepAliveIdleMs);
-}
-
 bool write_response(int fd, const HttpResponse& response, bool keep_alive) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
                     status_text(response.status) +

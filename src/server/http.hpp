@@ -91,10 +91,6 @@ class RequestReader {
   std::string buffer_;
 };
 
-/// Read one request from a connected socket (single-request convenience
-/// wrapper over RequestReader; leftover pipelined bytes are discarded).
-std::optional<HttpRequest> read_request(int fd);
-
 /// Serialize and write a response; `keep_alive` selects the Connection
 /// header. Returns false on a short write.
 bool write_response(int fd, const HttpResponse& response,

@@ -188,11 +188,6 @@ core::DseOptions model_half(const io::JobSpec& spec) {
   options.spec = spec.spec;
   options.tdse_objectives = spec.tdse_objectives;
   options.resilience = spec.resilience;
-  // Island sharding is part of the model key (io::JobSpec::model_key), so
-  // sessions never alias across island configurations; mirror it here so the
-  // session's options match the key that selected it. Problem construction
-  // itself does not depend on it.
-  options.island = spec.island;
   return options;
 }
 
@@ -223,8 +218,8 @@ const core::ResilientProblem& ModelSession::resilient_problem() {
 const core::ClrMappingProblem& ModelSession::pf_problem() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!pf_.has_value()) {
-    if (!tdse_.has_value()) tdse_ = methodology_.run_tdse(model_options_);
-    pf_.emplace(methodology_.build_pfclr_problem(model_options_, *tdse_));
+    pf_.emplace(methodology_.build_pfclr_problem(
+        model_options_, methodology_.run_tdse(model_options_)));
   }
   return *pf_;
 }

@@ -176,7 +176,6 @@ class ModelSession {
   std::optional<core::ClrMappingProblem> fc_;
   std::optional<core::ClrMappingProblem> pf_;
   std::optional<core::ResilientProblem> resilient_;
-  std::optional<std::vector<core::TdseResult>> tdse_;
   std::atomic<std::uint64_t> last_used_{0};
   std::atomic<int> pins_{0};
 };

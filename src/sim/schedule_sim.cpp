@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 #include "reliability/fault_injection.hpp"
 #include "sched/list_scheduler.hpp"
@@ -22,6 +23,10 @@ namespace {
 /// `trial` of a pre-sized vector, so parallel execution is bit-identical to
 /// serial (the ThreadPool per-index contract).
 struct TrialOutcome {
+  /// False when a failure-injection trial drew a failure set no variant
+  /// covers: nothing ran, and every other field is meaningless.
+  bool ran = false;
+  std::size_t variant = 0;  ///< the executed variant (failure injection)
   double makespan_us = 0.0;
   double error_weight = 0.0;  ///< sum of zeta_t over corrupted tasks
   double energy_uj = 0.0;
@@ -30,24 +35,66 @@ struct TrialOutcome {
   bool deadline_miss = false;
 };
 
+/// One validated executable configuration: the tasks, each task's rank in
+/// the priority order and its fault sampler.
+struct Variant {
+  const std::vector<SimTask>* tasks = nullptr;
+  std::vector<std::size_t> rank;
+  std::vector<reliability::TaskSampler> samplers;
+};
+
+/// Validates `tasks` and `priority_order` for an `n`-task graph on
+/// `num_pes` PEs; every message starts with `who`.
+Variant prepare_variant(const std::string& who, std::size_t n,
+                        std::size_t num_pes, const std::vector<SimTask>& tasks,
+                        const std::vector<std::size_t>& priority_order) {
+  if (tasks.size() != n) {
+    throw std::invalid_argument(who + " task count mismatch");
+  }
+  if (priority_order.size() != n) {
+    throw std::invalid_argument(who + " priority order size mismatch");
+  }
+  Variant variant;
+  variant.tasks = &tasks;
+  variant.rank.assign(n, n);
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const std::size_t task = priority_order[pos];
+    if (task >= n || variant.rank[task] != n) {
+      throw std::invalid_argument(
+          who + " priority order is not a permutation of task ids");
+    }
+    variant.rank[task] = pos;
+  }
+  variant.samplers.reserve(n);
+  for (const SimTask& task : tasks) {
+    if (task.pe >= num_pes) {
+      throw std::invalid_argument(who + " PE index out of range");
+    }
+    variant.samplers.emplace_back(task.chain);  // validates the chain
+  }
+  return variant;
+}
+
 /// One full application run: sample every task's trial, then execute the
 /// graph event-by-event.
 TrialOutcome run_trial(const app::TaskGraph& graph,
                        const platform::Interconnect& interconnect,
-                       const std::vector<SimTask>& tasks,
-                       const std::vector<reliability::TaskSampler>& samplers,
-                       const std::vector<std::size_t>& rank,
-                       const std::vector<double>& zeta, std::size_t num_pes,
-                       double deadline_us, util::Rng& rng) {
+                       const Variant& variant, const std::vector<double>& zeta,
+                       std::size_t num_pes, double deadline_us,
+                       util::Rng& rng) {
+  const std::vector<SimTask>& tasks = *variant.tasks;
   const std::size_t n = tasks.size();
 
   // The fault process of a task is independent of when it runs, so all task
   // trials are drawn up front in task-id order — one fixed draw order per
   // stream, regardless of how the schedule unfolds.
   std::vector<reliability::TaskTrial> draws(n);
-  for (std::size_t t = 0; t < n; ++t) draws[t] = samplers[t].sample(rng);
+  for (std::size_t t = 0; t < n; ++t) {
+    draws[t] = variant.samplers[t].sample(rng);
+  }
 
   TrialOutcome out;
+  out.ran = true;
   for (std::size_t t = 0; t < n; ++t) {
     out.energy_uj += draws[t].exec_time_us * tasks[t].power_w;
     out.faults += static_cast<double>(draws[t].faults);
@@ -66,6 +113,7 @@ TrialOutcome run_trial(const app::TaskGraph& graph,
   }
   std::vector<bool> pe_idle(num_pes, true);
   std::vector<std::vector<std::size_t>> ready(num_pes);
+  const std::vector<std::size_t>& rank = variant.rank;
 
   while (!queue.empty()) {
     const double now = queue.next_time_us();
@@ -108,6 +156,79 @@ TrialOutcome run_trial(const app::TaskGraph& graph,
   return out;
 }
 
+/// Trial i of `trials` runs `trial` on the i-th child stream of `seed`,
+/// over the global pool. The streams are split off serially, so stream i is
+/// the same object no matter which thread later consumes it. Sets
+/// `elapsed_s` to the wall time of the parallel loop.
+template <typename Trial>
+std::vector<TrialOutcome> run_trials(std::size_t trials, std::uint64_t seed,
+                                     const char* span_name, double& elapsed_s,
+                                     const Trial& trial) {
+  util::Rng root(seed);
+  std::vector<util::Rng> streams;
+  streams.reserve(trials);
+  for (std::size_t i = 0; i < trials; ++i) streams.push_back(root.split());
+
+  std::vector<TrialOutcome> outcomes(trials);
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    const util::TraceSpan span(span_name);
+    util::parallel_for(trials,
+                       [&](std::size_t i) { outcomes[i] = trial(streams[i]); });
+  }
+  elapsed_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count();
+  return outcomes;
+}
+
+/// The statistics both results carry, over the `ran` trials that ran:
+/// makespan and energy mean, sample stddev and normal 95% CI, and the
+/// criticality-weighted error probability with its Wilson interval.
+/// Accumulated serially in trial order, so identical at any thread count.
+template <typename Result>
+void aggregate_ran_trials(const std::vector<TrialOutcome>& outcomes,
+                          std::size_t ran, Result& result) {
+  if (ran == 0) return;
+  const double inv_n = 1.0 / static_cast<double>(ran);
+  double error_weight = 0.0;
+  for (const TrialOutcome& o : outcomes) {
+    if (!o.ran) continue;
+    result.makespan_mean_us += o.makespan_us * inv_n;
+    result.energy_mean_uj += o.energy_uj * inv_n;
+    error_weight += o.error_weight;
+  }
+  if (ran > 1) {
+    double makespan_m2 = 0.0;
+    double energy_m2 = 0.0;
+    for (const TrialOutcome& o : outcomes) {
+      if (!o.ran) continue;
+      const double dm = o.makespan_us - result.makespan_mean_us;
+      const double de = o.energy_uj - result.energy_mean_uj;
+      makespan_m2 += dm * dm;
+      energy_m2 += de * de;
+    }
+    const double inv_n1 = 1.0 / static_cast<double>(ran - 1);
+    result.makespan_stddev_us = std::sqrt(makespan_m2 * inv_n1);
+    result.energy_stddev_uj = std::sqrt(energy_m2 * inv_n1);
+  }
+  result.makespan_ci_us = util::confidence_interval_95(
+      result.makespan_mean_us, result.makespan_stddev_us, ran);
+  result.energy_ci_uj = util::confidence_interval_95(
+      result.energy_mean_uj, result.energy_stddev_uj, ran);
+  // Per-trial error weights are zeta-normalized into [0, 1], so the sum is
+  // mathematically <= ran — but the serial accumulation can land an ulp
+  // above it, which wilson_interval_95 rejects. Clamp the rounding noise,
+  // not real accounting bugs (those exceed ran by whole weights).
+  error_weight = std::min(error_weight, static_cast<double>(ran));
+  result.error_prob = error_weight * inv_n;
+  result.error_ci = util::wilson_interval_95(error_weight, ran);
+}
+
+double per_second(std::size_t trials, double elapsed_s) {
+  return elapsed_s > 0.0 ? static_cast<double>(trials) / elapsed_s : 0.0;
+}
+
 }  // namespace
 
 bool sim_results_identical(const SimResult& a, const SimResult& b) noexcept {
@@ -134,65 +255,27 @@ SimResult simulate_schedule(const app::TaskGraph& graph,
                             const std::vector<SimTask>& tasks,
                             const std::vector<std::size_t>& priority_order,
                             const SimOptions& options) {
-  const std::size_t n = graph.num_tasks();
   const std::size_t num_pes = architecture.num_pes();
-  if (tasks.size() != n) {
-    throw std::invalid_argument("simulate_schedule: task count mismatch");
-  }
-  if (priority_order.size() != n) {
-    throw std::invalid_argument(
-        "simulate_schedule: priority order size mismatch");
-  }
   if (options.trials == 0) {
     throw std::invalid_argument("simulate_schedule: trials must be positive");
   }
-  std::vector<std::size_t> rank(n, n);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const std::size_t task = priority_order[pos];
-    if (task >= n || rank[task] != n) {
-      throw std::invalid_argument(
-          "simulate_schedule: priority order is not a permutation of task "
-          "ids");
-    }
-    rank[task] = pos;
-  }
-  std::vector<reliability::TaskSampler> samplers;
-  samplers.reserve(n);
-  for (const SimTask& task : tasks) {
-    if (task.pe >= num_pes) {
-      throw std::invalid_argument("simulate_schedule: PE index out of range");
-    }
-    samplers.emplace_back(task.chain);  // validates the chain parameters
-  }
+  const Variant variant = prepare_variant(
+      "simulate_schedule:", graph.num_tasks(), num_pes, tasks, priority_order);
   // Reject cyclic graphs up front (invalid_argument) instead of stalling
   // trials.
   (void)graph.topological_order();
-
   const std::vector<double> zeta = graph.normalized_criticality();
-  const platform::Interconnect& interconnect = architecture.interconnect();
 
-  // One child stream per trial, split off serially — stream i is the same
-  // object no matter which thread later consumes it.
-  util::Rng root(options.seed);
-  std::vector<util::Rng> streams;
-  streams.reserve(options.trials);
-  for (std::size_t i = 0; i < options.trials; ++i) {
-    streams.push_back(root.split());
-  }
+  double elapsed_s = 0.0;
+  const std::vector<TrialOutcome> outcomes = run_trials(
+      options.trials, options.seed, "sim.trial_batch", elapsed_s,
+      [&](util::Rng& rng) {
+        return run_trial(graph, architecture.interconnect(), variant, zeta,
+                         num_pes, options.deadline_us, rng);
+      });
 
-  std::vector<TrialOutcome> outcomes(options.trials);
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    const util::TraceSpan span("sim.trial_batch");
-    util::parallel_for(options.trials, [&](std::size_t i) {
-      outcomes[i] = run_trial(graph, interconnect, tasks, samplers, rank, zeta,
-                              num_pes, options.deadline_us, streams[i]);
-    });
-  }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
+  std::uint64_t miss_count = 0;
+  for (const TrialOutcome& o : outcomes) miss_count += o.deadline_miss;
   {
     static util::Counter& runs_metric = util::metric_counter("sim.runs");
     static util::Counter& trials_metric = util::metric_counter("sim.trials");
@@ -200,78 +283,33 @@ SimResult simulate_schedule(const app::TaskGraph& graph,
         util::metric_counter("sim.deadline_misses");
     runs_metric.add();
     trials_metric.add(options.trials);
-    std::uint64_t miss_count = 0;
-    for (const TrialOutcome& o : outcomes) miss_count += o.deadline_miss;
     misses_metric.add(miss_count);
     util::observe_seconds("sim.batch_seconds", elapsed_s);
   }
 
-  // Serial aggregation in trial order — identical whatever the thread count.
   SimResult result;
   result.trials = options.trials;
   result.deadline_us = options.deadline_us;
+  aggregate_ran_trials(outcomes, options.trials, result);
   const double inv_n = 1.0 / static_cast<double>(options.trials);
-  double error_weight = 0.0;
-  double misses = 0.0;
   result.makespan_min_us = outcomes.front().makespan_us;
   result.makespan_max_us = outcomes.front().makespan_us;
   for (const TrialOutcome& o : outcomes) {
-    result.makespan_mean_us += o.makespan_us * inv_n;
-    result.energy_mean_uj += o.energy_uj * inv_n;
     result.mean_faults += o.faults * inv_n;
     result.mean_rollbacks += o.rollbacks * inv_n;
-    error_weight += o.error_weight;
-    if (o.deadline_miss) misses += 1.0;
     result.makespan_min_us = std::min(result.makespan_min_us, o.makespan_us);
     result.makespan_max_us = std::max(result.makespan_max_us, o.makespan_us);
   }
-  if (options.trials > 1) {
-    double makespan_m2 = 0.0;
-    double energy_m2 = 0.0;
-    for (const TrialOutcome& o : outcomes) {
-      const double dm = o.makespan_us - result.makespan_mean_us;
-      const double de = o.energy_uj - result.energy_mean_uj;
-      makespan_m2 += dm * dm;
-      energy_m2 += de * de;
-    }
-    const double inv_n1 = 1.0 / static_cast<double>(options.trials - 1);
-    result.makespan_stddev_us = std::sqrt(makespan_m2 * inv_n1);
-    result.energy_stddev_uj = std::sqrt(energy_m2 * inv_n1);
-  }
-  result.makespan_ci_us = util::confidence_interval_95(
-      result.makespan_mean_us, result.makespan_stddev_us, options.trials);
-  result.energy_ci_uj = util::confidence_interval_95(
-      result.energy_mean_uj, result.energy_stddev_uj, options.trials);
-  // Per-trial error weights are zeta-normalized into [0, 1], so the sum is
-  // mathematically <= trials — but the serial accumulation can land an ulp
-  // above it, which wilson_interval_95 now rejects. Clamp the rounding
-  // noise, not real accounting bugs (those exceed trials by whole weights).
-  error_weight =
-      std::min(error_weight, static_cast<double>(options.trials));
-  result.error_prob = error_weight * inv_n;
-  result.error_ci = util::wilson_interval_95(error_weight, options.trials);
   if (options.deadline_us > 0.0) {
+    const double misses = static_cast<double>(miss_count);
     result.deadline_miss_rate = misses * inv_n;
     result.deadline_miss_ci = util::wilson_interval_95(misses, options.trials);
   }
-  result.trials_per_sec =
-      elapsed_s > 0.0 ? static_cast<double>(options.trials) / elapsed_s : 0.0;
+  result.trials_per_sec = per_second(options.trials, elapsed_s);
   return result;
 }
 
 // ------------------------------------------- permanent-fault injection
-
-namespace {
-
-/// Slot written by one failure-injection trial. `variant` is the index of
-/// the executed variant; meaningless when !available.
-struct FailureTrialOutcome {
-  bool available = false;
-  std::size_t variant = 0;
-  TrialOutcome out;
-};
-
-}  // namespace
 
 bool failure_sim_results_identical(const FailureSimResult& a,
                                    const FailureSimResult& b) noexcept {
@@ -295,7 +333,6 @@ FailureSimResult simulate_with_failures(
     const std::vector<SimVariant>& variants,
     const std::vector<std::vector<char>>& variant_failures,
     const FailureSimOptions& options) {
-  const std::size_t n = graph.num_tasks();
   const std::size_t num_pes = architecture.num_pes();
   if (variants.empty()) {
     throw std::invalid_argument("simulate_with_failures: no variants");
@@ -319,13 +356,11 @@ FailureSimResult simulate_with_failures(
     }
   }
 
-  // Per-variant validation + precompute (rank vector, samplers), mirroring
-  // simulate_schedule; plus the mask table the trial loop dispatches on.
+  // Per-variant validation plus the mask table the trial loop dispatches on.
   std::map<std::vector<char>, std::size_t> variant_of_mask;
-  std::vector<std::vector<std::size_t>> ranks(variants.size());
-  std::vector<std::vector<reliability::TaskSampler>> samplers(variants.size());
+  std::vector<Variant> prepared;
+  prepared.reserve(variants.size());
   for (std::size_t v = 0; v < variants.size(); ++v) {
-    const SimVariant& variant = variants[v];
     const std::vector<char>& mask = variant_failures[v];
     if (mask.size() != num_pes) {
       throw std::invalid_argument(
@@ -340,79 +375,50 @@ FailureSimResult simulate_with_failures(
       throw std::invalid_argument(
           "simulate_with_failures: duplicate failure mask");
     }
-    if (variant.tasks.size() != n) {
-      throw std::invalid_argument(
-          "simulate_with_failures: variant task count mismatch");
-    }
-    if (variant.priority_order.size() != n) {
-      throw std::invalid_argument(
-          "simulate_with_failures: variant priority order size mismatch");
-    }
-    ranks[v].assign(n, n);
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      const std::size_t task = variant.priority_order[pos];
-      if (task >= n || ranks[v][task] != n) {
-        throw std::invalid_argument(
-            "simulate_with_failures: variant priority order is not a "
-            "permutation of task ids");
-      }
-      ranks[v][task] = pos;
-    }
-    samplers[v].reserve(n);
-    for (const SimTask& task : variant.tasks) {
-      if (task.pe >= num_pes) {
-        throw std::invalid_argument(
-            "simulate_with_failures: PE index out of range");
-      }
+    prepared.push_back(prepare_variant("simulate_with_failures: variant",
+                                       graph.num_tasks(), num_pes,
+                                       variants[v].tasks,
+                                       variants[v].priority_order));
+    for (const SimTask& task : variants[v].tasks) {
       if (mask[task.pe]) {
         throw std::invalid_argument(
             "simulate_with_failures: variant maps a task onto a PE its own "
             "failure mask kills");
       }
-      samplers[v].emplace_back(task.chain);  // validates the chain parameters
     }
   }
   // Reject cyclic graphs once — the graph is shared by every variant.
   (void)graph.topological_order();
-
   const std::vector<double> zeta = graph.normalized_criticality();
-  const platform::Interconnect& interconnect = architecture.interconnect();
 
-  // One child stream per trial, split off serially (the simulate_schedule
-  // contract). Inside each stream the draw order is fixed: first one uniform
+  // Inside each trial's stream the draw order is fixed: first one uniform
   // per PE in PE-id order (the mission survival draws), then — only if the
   // drawn failure set is covered — the executed variant's task trials.
-  util::Rng root(options.seed);
-  std::vector<util::Rng> streams;
-  streams.reserve(options.trials);
-  for (std::size_t i = 0; i < options.trials; ++i) {
-    streams.push_back(root.split());
-  }
+  double elapsed_s = 0.0;
+  const std::vector<TrialOutcome> outcomes = run_trials(
+      options.trials, options.seed, "sim.failure_trial_batch", elapsed_s,
+      [&](util::Rng& rng) {
+        std::vector<char> mask(num_pes, 0);
+        for (std::size_t p = 0; p < num_pes; ++p) {
+          mask[p] = rng.uniform() < options.pe_failure_prob[p] ? 1 : 0;
+        }
+        const auto it = variant_of_mask.find(mask);
+        if (it == variant_of_mask.end()) return TrialOutcome{};  // unavailable
+        TrialOutcome out =
+            run_trial(graph, architecture.interconnect(), prepared[it->second],
+                      zeta, num_pes, /*deadline_us=*/0.0, rng);
+        out.variant = it->second;
+        return out;
+      });
 
-  std::vector<FailureTrialOutcome> outcomes(options.trials);
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    const util::TraceSpan span("sim.failure_trial_batch");
-    util::parallel_for(options.trials, [&](std::size_t i) {
-      util::Rng& rng = streams[i];
-      std::vector<char> mask(num_pes, 0);
-      for (std::size_t p = 0; p < num_pes; ++p) {
-        mask[p] = rng.uniform() < options.pe_failure_prob[p] ? 1 : 0;
-      }
-      const auto it = variant_of_mask.find(mask);
-      if (it == variant_of_mask.end()) return;  // unavailable: nothing runs
-      const std::size_t v = it->second;
-      outcomes[i].available = true;
-      outcomes[i].variant = v;
-      outcomes[i].out =
-          run_trial(graph, interconnect, variants[v].tasks, samplers[v],
-                    ranks[v], zeta, num_pes, /*deadline_us=*/0.0, rng);
-    });
+  FailureSimResult result;
+  result.trials = options.trials;
+  result.variant_trials.assign(variants.size(), 0);
+  for (const TrialOutcome& o : outcomes) {
+    if (!o.ran) continue;
+    ++result.available_trials;
+    ++result.variant_trials[o.variant];
   }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
   {
     static util::Counter& runs_metric =
         util::metric_counter("sim.failure_runs");
@@ -422,67 +428,15 @@ FailureSimResult simulate_with_failures(
         util::metric_counter("sim.unavailable_trials");
     runs_metric.add();
     trials_metric.add(options.trials);
-    std::uint64_t lost = 0;
-    for (const FailureTrialOutcome& o : outcomes) lost += !o.available;
-    lost_metric.add(lost);
+    lost_metric.add(options.trials - result.available_trials);
     util::observe_seconds("sim.failure_batch_seconds", elapsed_s);
-  }
-
-  // Serial aggregation in trial order — identical whatever the thread count.
-  FailureSimResult result;
-  result.trials = options.trials;
-  result.variant_trials.assign(variants.size(), 0);
-  for (const FailureTrialOutcome& o : outcomes) {
-    if (!o.available) continue;
-    ++result.available_trials;
-    ++result.variant_trials[o.variant];
   }
   result.availability = static_cast<double>(result.available_trials) /
                         static_cast<double>(options.trials);
   result.availability_ci = util::wilson_interval_95(
       static_cast<double>(result.available_trials), options.trials);
-
-  if (result.available_trials > 0) {
-    const double inv_a = 1.0 / static_cast<double>(result.available_trials);
-    double error_weight = 0.0;
-    for (const FailureTrialOutcome& o : outcomes) {
-      if (!o.available) continue;
-      result.makespan_mean_us += o.out.makespan_us * inv_a;
-      result.energy_mean_uj += o.out.energy_uj * inv_a;
-      error_weight += o.out.error_weight;
-    }
-    if (result.available_trials > 1) {
-      double makespan_m2 = 0.0;
-      double energy_m2 = 0.0;
-      for (const FailureTrialOutcome& o : outcomes) {
-        if (!o.available) continue;
-        const double dm = o.out.makespan_us - result.makespan_mean_us;
-        const double de = o.out.energy_uj - result.energy_mean_uj;
-        makespan_m2 += dm * dm;
-        energy_m2 += de * de;
-      }
-      const double inv_a1 =
-          1.0 / static_cast<double>(result.available_trials - 1);
-      result.makespan_stddev_us = std::sqrt(makespan_m2 * inv_a1);
-      result.energy_stddev_uj = std::sqrt(energy_m2 * inv_a1);
-    }
-    result.makespan_ci_us =
-        util::confidence_interval_95(result.makespan_mean_us,
-                                     result.makespan_stddev_us,
-                                     result.available_trials);
-    result.energy_ci_uj = util::confidence_interval_95(
-        result.energy_mean_uj, result.energy_stddev_uj,
-        result.available_trials);
-    // Same ulp clamp as simulate_schedule: zeta-normalized weights sum to at
-    // most the trial count mathematically, but not always in floating point.
-    error_weight = std::min(
-        error_weight, static_cast<double>(result.available_trials));
-    result.error_prob = error_weight * inv_a;
-    result.error_ci =
-        util::wilson_interval_95(error_weight, result.available_trials);
-  }
-  result.trials_per_sec =
-      elapsed_s > 0.0 ? static_cast<double>(options.trials) / elapsed_s : 0.0;
+  aggregate_ran_trials(outcomes, result.available_trials, result);
+  result.trials_per_sec = per_second(options.trials, elapsed_s);
   return result;
 }
 

@@ -206,7 +206,9 @@ TEST(MigrationTest, EmigrantsStrideSampleTheFeasibleFront) {
   ga.population_size = 40;
   ga.generations = 20;
   util::Rng rng(53);
-  Nsga2Engine<RealGenome> engine(ga, real_ops(6, zdt1), rng);
+  // The engine keeps a reference to its ops, so they must outlive it.
+  const auto ops = real_ops(6, zdt1);
+  Nsga2Engine<RealGenome> engine(ga, ops, rng);
   for (std::size_t g = 0; g < ga.generations; ++g) engine.advance();
 
   EXPECT_TRUE(engine.emigrants(0).empty());

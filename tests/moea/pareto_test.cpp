@@ -188,6 +188,13 @@ std::vector<std::vector<std::size_t>> pair_loop_sort(
   return fronts;
 }
 
+// pareto_front_indices must be the unconstrained oracle's first front.
+std::vector<std::size_t> oracle_first_front(
+    const std::vector<Objectives>& points) {
+  const auto fronts = pair_loop_sort(points, {});
+  return fronts.empty() ? std::vector<std::size_t>{} : fronts.front();
+}
+
 struct Population {
   std::vector<Objectives> points;
   std::vector<double> violations;  ///< empty = unconstrained
@@ -230,6 +237,9 @@ TEST(NonDominatedSortTest, MatchesPairLoopOracleAcrossWordBoundaries) {
         EXPECT_EQ(non_dominated_sort(pop.points, pop.violations),
                   pair_loop_sort(pop.points, pop.violations))
             << "n=" << n << " m=" << m << " constrained=" << constrained;
+        EXPECT_EQ(pareto_front_indices(pop.points),
+                  oracle_first_front(pop.points))
+            << "n=" << n << " m=" << m;
       }
     }
   }
@@ -258,6 +268,9 @@ TEST(NonDominatedSortTest, MatchesPairLoopOracleOnDegeneratePopulations) {
   for (std::size_t c = 0; c < cases.size(); ++c) {
     EXPECT_EQ(non_dominated_sort(cases[c].points, cases[c].violations),
               pair_loop_sort(cases[c].points, cases[c].violations))
+        << "case " << c;
+    EXPECT_EQ(pareto_front_indices(cases[c].points),
+              oracle_first_front(cases[c].points))
         << "case " << c;
   }
 }

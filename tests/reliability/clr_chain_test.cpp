@@ -49,9 +49,9 @@ TEST(ClrChainParamsTest, ValidatesRanges) {
 
 TEST(ClrChainParamsTest, PnePerInterval) {
   ClrChainParams p = base_params();
-  EXPECT_NEAR(p.pne_per_interval(), std::exp(-0.2), 1e-12);
+  EXPECT_NEAR(p.pne_for_interval(0), std::exp(-0.2), 1e-12);
   p.intervals = 4;
-  EXPECT_NEAR(p.pne_per_interval(), std::exp(-0.05), 1e-12);
+  EXPECT_NEAR(p.pne_for_interval(0), std::exp(-0.05), 1e-12);
 }
 
 // --- Unprotected task: closed forms -------------------------------------------

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/dse.hpp"
 #include "core/scenario.hpp"
@@ -223,6 +224,48 @@ TEST(ServiceTest, SecondIdenticalJobReusesItsSessionBitForBit) {
       run_to_completion(service, small_job_body("pfclr", 2));
   const util::JsonValue r3 = fetch_result(service, third);
   EXPECT_NE(r1.at("front"), r3.at("front"));
+}
+
+TEST(ServiceTest, IslandVariantsOfOneModelShareASession) {
+  // The model key leaves out island sharding (no problem build reads it),
+  // so a sharded job reuses the single-island job's session and each still
+  // matches its own offline run.
+  const std::string single = small_job_body("pfclr", 4);
+  std::string sharded = single;
+  sharded.insert(sharded.find("\"application\""),
+                 R"("islands": {"count": 2, "migration_interval": 2},
+    )");
+  ServiceOptions options;
+  options.workers = 1;
+  DseService service(options);
+  const util::Counter& session_hits =
+      util::metric_counter("server.sessions.hits");
+  const std::string first = run_to_completion(service, single);
+  const std::uint64_t hits_before = session_hits.value();
+  const std::string second = run_to_completion(service, sharded);
+  EXPECT_EQ(session_hits.value() - hits_before, 1u);
+
+  for (const auto& [id, body] : {std::pair{first, single},
+                                 std::pair{second, sharded}}) {
+    const util::JsonValue result = fetch_result(service, id);
+    const io::JobSpec spec = io::job_spec_from_json(util::json_parse(body));
+    const core::DseMethodology dse(
+        spec.application, spec.architecture,
+        core::make_condition_analyzer(spec.scenario.environment_factor));
+    const core::DseOutcome offline = dse.run_pfclr(spec.options());
+    const util::JsonArray& front = result.at("front").as_array();
+    ASSERT_EQ(front.size(), offline.front.size()) << body;
+    for (std::size_t i = 0; i < front.size(); ++i) {
+      const util::JsonArray& point = front[i].as_array();
+      ASSERT_EQ(point.size(), offline.front[i].size());
+      for (std::size_t k = 0; k < point.size(); ++k) {
+        EXPECT_EQ(point[k].as_number(), offline.front[i][k])
+            << body << " front[" << i << "][" << k << "]";
+      }
+    }
+    EXPECT_EQ(static_cast<std::size_t>(result.at("evaluations").as_number()),
+              offline.evaluations);
+  }
 }
 
 TEST(ServiceTest, SessionRebuildHitsTheChainCache) {
