@@ -65,18 +65,18 @@ std::pair<MappingGenome, MappingGenome> GenomeLayout::crossover(
     const MappingGenome& a, const MappingGenome& b, util::Rng& rng) const {
   validate(a);
   validate(b);
-  MappingGenome ca = a;
-  MappingGenome cb = b;
   if (rng.bernoulli(0.5)) {
     // Configuration exchange: two-point crossover on the gene vectors.
-    moea::two_point_crossover(ca.genes, cb.genes, rng);
-  } else {
-    // Scheduling exchange: single-point order crossover on the permutation.
-    auto [oa, ob] = moea::order_crossover(a.order, b.order, rng);
-    ca.order = std::move(oa);
-    cb.order = std::move(ob);
+    std::pair<MappingGenome, MappingGenome> children{a, b};
+    moea::two_point_crossover(children.first.genes, children.second.genes,
+                              rng);
+    return children;
   }
-  return {std::move(ca), std::move(cb)};
+  // Scheduling exchange: single-point order crossover on the permutation;
+  // the parents' orders are never copied, only their genes.
+  auto [oa, ob] = moea::order_crossover(a.order, b.order, rng);
+  return {MappingGenome{std::move(oa), a.genes},
+          MappingGenome{std::move(ob), b.genes}};
 }
 
 void GenomeLayout::mutate(MappingGenome& g, util::Rng& rng) const {

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <functional>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -138,28 +139,34 @@ std::vector<std::size_t> survivor_selection(
 
 namespace detail {
 
-/// Evaluate `genomes` concurrently (index-sharded over the global thread
-/// pool) and append them to `population` and the parallel `points` /
-/// `violations` arrays. Evaluation is pure — it never touches the RNG — so
-/// each result lands in its own slot and the outcome is bit-identical to a
-/// serial evaluation loop at any thread count. Every genome is evaluated,
-/// duplicates included, so `evaluations` grows by `genomes.size()`.
-template <typename Genome>
-void evaluate_append(const Nsga2Ops<Genome>& ops, std::vector<Genome> genomes,
+/// Produce `count` genomes and evaluate them while production is still going
+/// on, then append them to `population` and the parallel `points` /
+/// `violations` arrays. `produce(slots, ready)` runs on the calling thread
+/// only — it is where the RNG is drawn, in the serial order — and writes one
+/// or more genomes into slots[ready], slots[ready + 1], ..., returning the
+/// new ready count; the global pool evaluates each published slot meanwhile
+/// (util::stream_for). Evaluation is pure, so each result lands in its own
+/// slot and the outcome is bit-identical to a serial loop at any thread
+/// count. Every genome is evaluated, duplicates included, so `evaluations`
+/// grows by `count`.
+template <typename Genome, typename Produce>
+void evaluate_append(const Nsga2Ops<Genome>& ops, std::size_t count,
+                     Produce&& produce,
                      std::vector<EvaluatedGenome<Genome>>& population,
                      std::vector<Objectives>& points,
                      std::vector<double>& violations,
                      std::size_t& evaluations) {
-  std::vector<Evaluation> evals(genomes.size());
-  util::parallel_for(genomes.size(), [&](std::size_t i) {
-    evals[i] = ops.evaluate(genomes[i]);
-  });
-  evaluations += genomes.size();
+  std::vector<Genome> genomes(count);
+  std::vector<Evaluation> evals(count);
+  util::stream_for(
+      count, [&](std::size_t ready) { return produce(genomes, ready); },
+      [&](std::size_t i) { evals[i] = ops.evaluate(genomes[i]); });
+  evaluations += count;
   // Registry lookup once per process; per batch it's one striped add.
   static util::Counter& evals_metric =
       util::metric_counter("nsga2.evaluations");
-  evals_metric.add(genomes.size());
-  for (std::size_t i = 0; i < genomes.size(); ++i) {
+  evals_metric.add(count);
+  for (std::size_t i = 0; i < count; ++i) {
     points.push_back(evals[i].objectives);
     violations.push_back(evals[i].violation);
     population.push_back({std::move(genomes[i]), std::move(evals[i])});
@@ -227,11 +234,12 @@ inline FrontStats report_progress(const ProgressHook& hook,
 /// finishes it; with several it drives engines side by side and exchanges
 /// individuals between generations through emigrants()/immigrate().
 ///
-/// Every generation is two phases: a serial *variation* phase (selection,
-/// crossover, mutation — the only RNG consumers, drawn in the exact order
-/// the historical serial loop used) followed by a parallel *evaluation*
-/// phase over the whole offspring batch. Fronts and evaluation counts are
-/// therefore bit-identical across thread counts.
+/// Every generation pipelines two phases: a serial *variation* phase
+/// (selection, crossover, mutation — the only RNG consumers, drawn on the
+/// calling thread in the exact order the historical serial loop used)
+/// publishes each offspring pair as soon as it exists, and the pool
+/// evaluates published offspring while variation makes the rest. Fronts
+/// and evaluation counts are therefore bit-identical across thread counts.
 ///
 /// `seeds` pre-loads the initial population (truncated to the population
 /// size; the remainder is filled by ops.create) — this implements the
@@ -257,14 +265,14 @@ class Nsga2Engine {
     points_.reserve(params_.population_size * 2);
     violations_.reserve(params_.population_size * 2);
 
-    std::vector<Genome> batch;
-    batch.reserve(params_.population_size);
-    for (std::size_t i = 0; i < params_.population_size; ++i) {
-      batch.push_back((i < seeds.size()) ? std::move(seeds[i])
-                                         : ops_.create(rng_));
-    }
-    detail::evaluate_append(ops_, std::move(batch), result_.population,
-                            points_, violations_, result_.evaluations);
+    detail::evaluate_append(
+        ops_, params_.population_size,
+        [&](std::vector<Genome>& slots, std::size_t ready) {
+          slots[ready] = ready < seeds.size() ? std::move(seeds[ready])
+                                              : ops_.create(rng_);
+          return ready + 1;
+        },
+        result_.population, points_, violations_, result_.evaluations);
 
     next_.reserve(params_.population_size);
     next_points_.reserve(params_.population_size);
@@ -297,8 +305,8 @@ class Nsga2Engine {
     return violations_;
   }
 
-  /// Evolve one generation: rank, telemetry/hook, serial variation,
-  /// parallel evaluation, (mu + lambda) survivor selection.
+  /// Evolve one generation: rank, telemetry/hook, serial variation
+  /// pipelined with parallel evaluation, (mu + lambda) survivor selection.
   void advance() {
     if (done()) {
       throw std::logic_error("Nsga2Engine::advance: already finished");
@@ -328,34 +336,35 @@ class Nsga2Engine {
       return rc.crowding[a] > rc.crowding[b];
     };
 
-    // Variation phase (lambda = mu), serial and RNG-ordered.
-    std::vector<Genome> batch;
-    batch.reserve(params_.population_size);
-    while (batch.size() < params_.population_size) {
-      const std::size_t pa = tournament_select(
-          params_.population_size, params_.tournament_k, rng_, better);
-      const std::size_t pb = tournament_select(
-          params_.population_size, params_.tournament_k, rng_, better);
-      Genome ca = population[pa].genome;
-      Genome cb = population[pb].genome;
-      if (rng_.bernoulli(params_.crossover_prob)) {
-        auto [xa, xb] = ops_.crossover(ca, cb, rng_);
-        ca = std::move(xa);
-        cb = std::move(xb);
-      }
-      if (rng_.bernoulli(params_.mutation_prob)) ops_.mutate(ca, rng_);
-      if (rng_.bernoulli(params_.mutation_prob)) ops_.mutate(cb, rng_);
-
-      batch.push_back(std::move(ca));
-      if (batch.size() < params_.population_size) {
-        batch.push_back(std::move(cb));
-      }
-    }
-
-    // Evaluation phase over the whole batch, then (mu + lambda) elitist
-    // survival over the combined arrays.
-    detail::evaluate_append(ops_, std::move(batch), population, points_,
-                            violations_, result_.evaluations);
+    // Variation (lambda = mu), serial and RNG-ordered, one pair per
+    // producer call; each pair is evaluated while the next is made. Parents
+    // are copied only when no crossover makes fresh children from them, and
+    // (mu + lambda) elitist survival runs over the combined arrays after.
+    const std::size_t lambda = params_.population_size;
+    detail::evaluate_append(
+        ops_, lambda,
+        [&](std::vector<Genome>& slots, std::size_t ready) {
+          const std::size_t pa = tournament_select(
+              params_.population_size, params_.tournament_k, rng_, better);
+          const std::size_t pb = tournament_select(
+              params_.population_size, params_.tournament_k, rng_, better);
+          Genome ca;
+          Genome cb;
+          if (rng_.bernoulli(params_.crossover_prob)) {
+            std::tie(ca, cb) = ops_.crossover(population[pa].genome,
+                                              population[pb].genome, rng_);
+          } else {
+            ca = population[pa].genome;
+            cb = population[pb].genome;
+          }
+          if (rng_.bernoulli(params_.mutation_prob)) ops_.mutate(ca, rng_);
+          if (rng_.bernoulli(params_.mutation_prob)) ops_.mutate(cb, rng_);
+          slots[ready] = std::move(ca);
+          if (ready + 1 == lambda) return lambda;
+          slots[ready + 1] = std::move(cb);
+          return ready + 2;
+        },
+        population, points_, violations_, result_.evaluations);
     select_survivors();
     ++generation_;
   }

@@ -1,15 +1,35 @@
 #include "moea/operators.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace clrearly::moea {
 
+namespace {
+
+/// A cleared n-bit set, reused per thread so the permutation operators
+/// allocate nothing once warm (variation checks every parent and child).
+std::vector<std::uint64_t>& cleared_bits(std::size_t n) {
+  thread_local std::vector<std::uint64_t> bits;
+  bits.assign((n + 63) / 64, 0);
+  return bits;
+}
+
+/// Set bit v; returns whether it was already set.
+bool test_and_set(std::vector<std::uint64_t>& bits, std::size_t v) {
+  const std::uint64_t mask = std::uint64_t{1} << (v % 64);
+  const bool was_set = (bits[v / 64] & mask) != 0;
+  bits[v / 64] |= mask;
+  return was_set;
+}
+
+}  // namespace
+
 bool is_permutation(const Permutation& p) {
-  std::vector<bool> seen(p.size(), false);
+  std::vector<std::uint64_t>& seen = cleared_bits(p.size());
   for (std::size_t v : p) {
-    if (v >= p.size() || seen[v]) return false;
-    seen[v] = true;
+    if (v >= p.size() || test_and_set(seen, v)) return false;
   }
   return true;
 }
@@ -33,11 +53,13 @@ std::pair<Permutation, Permutation> order_crossover(const Permutation& a,
   const std::size_t cut = 1 + rng.index(n - 1);  // at least one element each side
 
   auto make_child = [n, cut](const Permutation& head, const Permutation& tail) {
-    Permutation child(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(cut));
-    std::vector<bool> used(n, false);
-    for (std::size_t v : child) used[v] = true;
+    Permutation child;
+    child.reserve(n);
+    child.assign(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(cut));
+    std::vector<std::uint64_t>& used = cleared_bits(n);
+    for (std::size_t v : child) test_and_set(used, v);
     for (std::size_t v : tail) {
-      if (!used[v]) child.push_back(v);
+      if (!test_and_set(used, v)) child.push_back(v);
     }
     return child;
   };

@@ -90,6 +90,7 @@ bool JobQueue::cancel(const std::string& id) {
     job->request_cancel();
     if (was_waiting) {
       job->cancel();
+      retire_locked(job);
       set_depth_gauge(waiting_locked());
       static util::Counter& cancelled =
           util::metric_counter("server.jobs.cancelled");
@@ -141,6 +142,19 @@ void JobQueue::worker_loop() {
     // from the deque); a cooperative cancel latched after the pop is
     // honoured by the runner's progress hook.
     runner_(*job);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (is_terminal(job->state())) retire_locked(job);
+  }
+}
+
+void JobQueue::retire_locked(const std::shared_ptr<JobRecord>& job) {
+  finished_.push_back(job);
+  while (finished_.size() > kMaxFinishedJobs) {
+    const std::shared_ptr<JobRecord> old = std::move(finished_.front());
+    finished_.pop_front();
+    const auto it = by_id_.find(old->id());
+    if (it != by_id_.end() && it->second == old) by_id_.erase(it);
+    all_.erase(std::find(all_.begin(), all_.end(), old));
   }
 }
 

@@ -16,6 +16,11 @@
 // about to (or already did) start. Jobs already popped get the cooperative
 // cancel request only.
 //
+// Finished jobs stay addressable, but only the newest kMaxFinishedJobs of
+// them: a finished job holds its result and progress events, so a daemon
+// that kept every one would grow for as long as it runs. The oldest to
+// finish is forgotten first; queued and running jobs never are.
+//
 // The runner is injected so tests can exercise queueing, admission and
 // cancellation with a stub instead of a full DSE run.
 #pragma once
@@ -40,6 +45,11 @@ class JobQueue {
  public:
   using Runner = std::function<void(JobRecord&)>;
 
+  /// Terminal jobs kept addressable; the id of an older one answers like an
+  /// unknown id. At about 95 KB per finished proposed-flow job (result and
+  /// progress events) that is about 25 MB.
+  static constexpr std::size_t kMaxFinishedJobs = 256;
+
   /// Starts `workers` threads immediately. `max_depth` bounds *waiting*
   /// jobs (running ones don't count against it).
   JobQueue(std::size_t workers, std::size_t max_depth, Runner runner);
@@ -55,10 +65,12 @@ class JobQueue {
   std::optional<std::size_t> submit(std::shared_ptr<JobRecord> job,
                                     bool force = false);
 
-  /// Look a job up by id (jobs stay addressable after completion).
+  /// Look a job up by id: every queued or running job, and the newest
+  /// kMaxFinishedJobs terminal ones. A holder of the returned pointer (an
+  /// open SSE stream) keeps the record alive after it is forgotten here.
   std::shared_ptr<JobRecord> find(const std::string& id) const;
 
-  /// Snapshot of every known job, submission order.
+  /// Snapshot of every job find() knows, submission order.
   std::vector<std::shared_ptr<JobRecord>> jobs() const;
 
   /// Cancel by id. Still-waiting jobs are removed from their deque and flip
@@ -72,11 +84,15 @@ class JobQueue {
 
   /// Stop accepting work and join the workers. Running jobs are always
   /// drained to completion; queued jobs are cancelled when `cancel_pending`,
-  /// otherwise executed first. Idempotent.
+  /// otherwise executed first. The jobs cancelled here are never forgotten,
+  /// so the caller can still journal their final states. Idempotent.
   void shutdown(bool cancel_pending);
 
  private:
   void worker_loop();
+  /// Record that `job` reached a terminal state, forgetting the oldest
+  /// finished job beyond kMaxFinishedJobs.
+  void retire_locked(const std::shared_ptr<JobRecord>& job);
   std::size_t waiting_locked() const {
     return high_.size() + normal_.size();
   }
@@ -94,6 +110,7 @@ class JobQueue {
   std::deque<std::shared_ptr<JobRecord>> normal_;
   std::vector<std::shared_ptr<JobRecord>> all_;
   std::map<std::string, std::shared_ptr<JobRecord>> by_id_;
+  std::deque<std::shared_ptr<JobRecord>> finished_;  ///< oldest first
   std::vector<std::thread> workers_;
 };
 

@@ -8,6 +8,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -33,10 +34,51 @@ std::size_t parse_thread_env(const char* text) noexcept {
 
 namespace {
 
-/// Set while this thread executes a parallel_for body; nested calls then
-/// run inline instead of re-entering the queue (which could deadlock once
-/// every worker waits on work only it could execute).
+/// Set while this thread executes a parallel_for body or a stream_for
+/// producer; nested calls then run inline instead of re-entering the queue
+/// (which could deadlock once every worker waits on work only it could
+/// execute).
 thread_local bool tls_inside_parallel = false;
+
+/// Marks the current thread as inside a parallel region for its lifetime.
+class InsideParallel {
+ public:
+  InsideParallel() noexcept : was_inside_(tls_inside_parallel) {
+    tls_inside_parallel = true;
+  }
+  ~InsideParallel() { tls_inside_parallel = was_inside_; }
+  InsideParallel(const InsideParallel&) = delete;
+  InsideParallel& operator=(const InsideParallel&) = delete;
+
+ private:
+  const bool was_inside_;
+};
+
+/// Pause instructions a worker spends waiting for an unpublished item before
+/// it starts yielding: a few to tens of microseconds, longer than the
+/// producer usually needs for the next item.
+constexpr unsigned kSpinsBeforeYield = 1024;
+
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// One producer call, checked: it must publish at least one new item and no
+/// more than n.
+std::size_t produce_more(const ThreadPool::Producer& produce,
+                         std::size_t ready, std::size_t n) {
+  const std::size_t more = produce(ready);
+  if (more <= ready || more > n) {
+    throw std::logic_error(
+        "ThreadPool::stream_for: a producer call must publish at least one "
+        "more item and at most n");
+  }
+  return more;
+}
 
 std::size_t hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -97,17 +139,19 @@ std::size_t ThreadPool::thread_count() const noexcept { return impl_->total; }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body) {
+  stream_for(n, nullptr, body);
+}
+
+void ThreadPool::stream_for(std::size_t n, const Producer& produce,
+                            const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
   if (n == 1 || impl_->total <= 1 || tls_inside_parallel) {
-    const bool was_inside = tls_inside_parallel;
-    tls_inside_parallel = true;
-    try {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-    } catch (...) {
-      tls_inside_parallel = was_inside;
-      throw;
+    const InsideParallel inside;
+    std::size_t ready = produce ? 0 : n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == ready) ready = produce_more(produce, ready, n);
+      body(i);
     }
-    tls_inside_parallel = was_inside;
     return;
   }
 
@@ -116,39 +160,60 @@ void ThreadPool::parallel_for(std::size_t n,
   // the `body` reference alive for chunks that start late.
   struct CallState {
     std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> ready{0};   ///< items published so far
+    std::atomic<bool> aborted{false};    ///< the producer failed
     std::size_t n = 0;
     const std::function<void(std::size_t)>* body = nullptr;
     std::mutex done_mutex;
     std::condition_variable done_cv;
     std::size_t pending = 0;
     std::exception_ptr error;
+
+    /// Wait until item i is published; false when the producer failed
+    /// first.
+    bool wait_ready(std::size_t i) const {
+      for (unsigned spins = 0; ready.load(std::memory_order_acquire) <= i;
+           ++spins) {
+        if (aborted.load(std::memory_order_acquire)) return false;
+        if (spins < kSpinsBeforeYield) {
+          cpu_relax();
+        } else {
+          std::this_thread::yield();
+        }
+      }
+      return true;
+    }
   };
   auto state = std::make_shared<CallState>();
   state->n = n;
   state->body = &body;
+  state->ready.store(produce ? 0 : n, std::memory_order_relaxed);
   const std::size_t participants = std::min(impl_->total, n);
   state->pending = participants;
 
-  // One registry lookup per process; per parallel_for call the metrics
-  // cost is two striped adds and a gauge store — per *index* it is zero.
+  // One registry lookup per process; per call the metrics cost is two
+  // striped adds and a gauge store — per *index* it is zero.
   static Counter& submitted_metric = metric_counter("pool.tasks_submitted");
   static Counter& executed_metric = metric_counter("pool.tasks_executed");
   static Gauge& queue_depth_metric = metric_gauge("pool.queue_depth");
 
+  // The one chunk loop: claim the next index, wait until it is published,
+  // run it.
   auto chunk = [state] {
-    const bool was_inside = tls_inside_parallel;
-    tls_inside_parallel = true;
     std::exception_ptr first;
-    for (;;) {
-      const std::size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= state->n) break;
-      try {
-        (*state->body)(i);
-      } catch (...) {
-        if (!first) first = std::current_exception();
+    {
+      const InsideParallel inside;
+      for (;;) {
+        const std::size_t i =
+            state->next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= state->n || !state->wait_ready(i)) break;
+        try {
+          (*state->body)(i);
+        } catch (...) {
+          if (!first) first = std::current_exception();
+        }
       }
     }
-    tls_inside_parallel = was_inside;
     executed_metric.add();
     std::lock_guard<std::mutex> lock(state->done_mutex);
     if (first && !state->error) state->error = first;
@@ -165,6 +230,23 @@ void ThreadPool::parallel_for(std::size_t n,
   }
   impl_->queue_cv.notify_all();
 
+  if (produce) {
+    try {
+      // Nested calls from the producer run inline: queued behind workers
+      // that wait on this very producer, they could never start.
+      const InsideParallel inside;
+      for (std::size_t ready = 0; ready < n;) {
+        ready = produce_more(produce, ready, n);
+        state->ready.store(ready, std::memory_order_release);
+      }
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lock(state->done_mutex);
+        state->error = std::current_exception();
+      }
+      state->aborted.store(true, std::memory_order_release);
+    }
+  }
   chunk();  // the caller participates
 
   std::unique_lock<std::mutex> lock(state->done_mutex);
@@ -221,6 +303,11 @@ ThreadPool& global_pool() {
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body) {
   global_pool().parallel_for(n, body);
+}
+
+void stream_for(std::size_t n, const ThreadPool::Producer& produce,
+                const std::function<void(std::size_t)>& body) {
+  global_pool().stream_for(n, produce, body);
 }
 
 }  // namespace clrearly::util

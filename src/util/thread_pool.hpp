@@ -12,6 +12,12 @@
 //     --threads flag) overrides the CLREARLY_THREADS environment variable,
 //     which overrides hardware concurrency. 0 at any level means "use the
 //     hardware concurrency".
+//
+// stream_for is the one primitive: the calling thread produces the items
+// in index order while the workers already run body(i) on the ones it has
+// published (the NSGA-II engine evaluates offspring while variation is still
+// making the rest). parallel_for is the stream whose items are all ready
+// from the start.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +51,25 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
+  /// Called as produce(ready) with the number of items published so far;
+  /// makes at least one more item ready, in index order, and returns the new
+  /// total (at most n).
+  using Producer = std::function<std::size_t(std::size_t ready)>;
+
+  /// parallel_for over items that the calling thread is still producing.
+  /// The caller runs `produce` until all n items are ready, publishing each
+  /// new total; a worker that claims index i waits for item i (spinning for
+  /// a bounded time, then yielding — no syscall per item) and runs body(i).
+  /// Then the caller joins in on the remaining indices. `produce` runs only
+  /// on the calling thread, so it may own state the bodies never touch
+  /// (an RNG). A producer that throws, or publishes no new item, releases
+  /// every waiting worker; its exception (else the first body exception) is
+  /// rethrown here once every participant has checked in. Nested calls and
+  /// 1-thread pools run inline: produce, then consume what it published, in
+  /// index order.
+  void stream_for(std::size_t n, const Producer& produce,
+                  const std::function<void(std::size_t)>& body);
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -75,5 +100,9 @@ ThreadPool& global_pool();
 
 /// parallel_for on the global pool.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
+
+/// stream_for on the global pool.
+void stream_for(std::size_t n, const ThreadPool::Producer& produce,
+                const std::function<void(std::size_t)>& body);
 
 }  // namespace clrearly::util

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "app/mjpeg.hpp"
@@ -291,6 +292,65 @@ TEST_F(DeterminismTest, GaPopulationIsThreadCountInvariant) {
   for (std::size_t i = 0; i < serial.front.size(); ++i) {
     EXPECT_EQ(serial.population[serial.front[i]].eval.objectives,
               parallel.population[parallel.front[i]].eval.objectives);
+  }
+}
+
+TEST_F(DeterminismTest, ProgressReportsAreThreadCountInvariant) {
+  // Every progress report — each GenerationProgress field and front point —
+  // must match between serial and parallel runs: per generation on one
+  // island, where variation is pipelined with evaluation, and per epoch on
+  // four, where each island runs as one inline strand.
+  const core::ClrMappingProblem problem(
+      app::make_sobel_application(), platform::Architecture::paper_default(),
+      reliability::TaskAnalyzer::paper_default(), core::SystemObjectives{},
+      sched::QosSpec{});
+  struct Report {
+    std::size_t generation = 0;
+    std::size_t generations = 0;
+    std::size_t evaluations = 0;
+    std::size_t front_size = 0;
+    double hv_proxy = 0.0;
+    std::vector<moea::Objectives> front_points;
+  };
+  const auto record = [&](std::size_t threads,
+                          const moea::IslandParams& island) {
+    util::set_thread_count(threads);
+    std::vector<Report> reports;
+    moea::Nsga2Params params;
+    params.population_size = 24;
+    params.generations = 8;
+    params.on_generation = [&](const moea::GenerationProgress& progress) {
+      reports.push_back({progress.generation, progress.generations,
+                         progress.evaluations, progress.front_size,
+                         progress.hv_proxy, *progress.front_points});
+    };
+    util::Rng rng(7);
+    moea::run_island_nsga2(params, island, problem.ops(), rng);
+    return reports;
+  };
+
+  for (const std::size_t islands : {1u, 4u}) {
+    SCOPED_TRACE("islands " + std::to_string(islands));
+    moea::IslandParams island;
+    island.islands = islands;
+    island.migration_interval = 2;
+    island.migration_size = 2;
+    const std::vector<Report> serial = record(1, island);
+    const std::vector<Report> parallel = record(4, island);
+    ASSERT_EQ(serial.size(), islands == 1 ? 9u : 4u);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t r = 0; r < serial.size(); ++r) {
+      EXPECT_EQ(serial[r].generation, parallel[r].generation) << "report " << r;
+      EXPECT_EQ(serial[r].generations, parallel[r].generations)
+          << "report " << r;
+      EXPECT_EQ(serial[r].evaluations, parallel[r].evaluations)
+          << "report " << r;
+      EXPECT_EQ(serial[r].front_size, parallel[r].front_size)
+          << "report " << r;
+      EXPECT_EQ(serial[r].hv_proxy, parallel[r].hv_proxy) << "report " << r;
+      EXPECT_EQ(serial[r].front_points, parallel[r].front_points)
+          << "report " << r;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -277,6 +278,73 @@ TEST(JobQueueTest, CancelNeverReportsCancelledForACompletedJob) {
   // the cancelled + done split exactly accounts for the executed count.
   EXPECT_EQ(done, completed.load());
   EXPECT_EQ(cancelled + done, static_cast<int>(jobs.size()));
+}
+
+std::string finished_id(std::size_t i) {
+  std::string id = "f";
+  id += std::to_string(i);
+  return id;
+}
+
+TEST(JobQueueTest, ForgetsTheOldestFinishedJobsBeyondTheCap) {
+  // One worker holds the first job running behind a gate while the other
+  // finishes cap + 10 jobs in submission order: the ten that finished first
+  // are forgotten, the newest cap stay, and the older running job stays too.
+  constexpr std::size_t kCap = JobQueue::kMaxFinishedJobs;
+  constexpr std::size_t kFinished = kCap + 10;
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  JobQueue queue(/*workers=*/2, /*max_depth=*/kFinished, [&](JobRecord& job) {
+    if (!job.try_start()) return;
+    if (job.id() == "running") {
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      gate_cv.wait(lock, [&] { return gate_open; });
+    }
+    job.finish(JobResult{});
+  });
+  auto running = make_job("running");
+  ASSERT_TRUE(queue.submit(running).has_value());
+  while (running->state() != JobState::kRunning) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::size_t i = 0; i < kFinished; ++i) {
+    ASSERT_TRUE(queue.submit(make_job(finished_id(i))).has_value());
+  }
+  // The last job to finish forgets f9, the tenth-oldest.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (queue.find("f9") != nullptr &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (std::size_t i = 0; i < kFinished; ++i) {
+    const std::shared_ptr<JobRecord> job = queue.find(finished_id(i));
+    if (i < kFinished - kCap) {
+      EXPECT_EQ(job, nullptr) << "f" << i << " should be forgotten";
+    } else {
+      ASSERT_NE(job, nullptr) << "f" << i << " should be kept";
+      EXPECT_EQ(job->state(), JobState::kDone);
+    }
+  }
+  EXPECT_EQ(queue.find("running"), running);
+  EXPECT_EQ(running->state(), JobState::kRunning);
+  const auto jobs = queue.jobs();
+  ASSERT_EQ(jobs.size(), kCap + 1);
+  EXPECT_EQ(jobs.front(), running);  // submission order
+  EXPECT_EQ(jobs.back()->id(), finished_id(kFinished - 1));
+
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    gate_open = true;
+    gate_cv.notify_all();
+  }
+  queue.shutdown(/*cancel_pending=*/false);
+  // Finishing last, the once-running job displaces the oldest kept one.
+  EXPECT_EQ(running->state(), JobState::kDone);
+  EXPECT_EQ(queue.find("running"), running);
+  EXPECT_EQ(queue.find(finished_id(kFinished - kCap)), nullptr);
+  EXPECT_EQ(queue.jobs().size(), kCap);
 }
 
 TEST(JobQueueTest, RecordStateMachineRejectsBadTransitions) {

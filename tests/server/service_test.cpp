@@ -619,6 +619,64 @@ TEST(ServiceTest, DeeplyNestedBodyIs400AndTheDaemonKeepsServing) {
   EXPECT_FALSE(fetch_result(service, id).at("front").as_array().empty());
 }
 
+TEST(ServiceTest, ForgottenFinishedJobIs404) {
+  // The job table keeps only the newest JobQueue::kMaxFinishedJobs terminal
+  // jobs. A long job holds the only worker, so each job submitted behind it
+  // is cancelled while queued; kMaxFinishedJobs of them push the first,
+  // finished job out of the table.
+  ServiceOptions options;
+  options.workers = 1;
+  DseService service(options);
+  const std::string first =
+      run_to_completion(service, small_job_body("fcclr", 1, 1));
+
+  const HttpResponse long_job = service.handle(make_request("POST", "/v1/jobs",
+      R"({"format_version": 1, "flow": "fcclr", "seed": 1,
+          "ga": {"population_size": 16, "generations": 1000000},
+          "application": "synthetic:20:1"})"));
+  ASSERT_EQ(long_job.status, 202) << long_job.body;
+  const std::string running = body_json(long_job).at("id").as_string();
+  // However the test exits, cancel the long job before the service is torn
+  // down, or the teardown would wait out its million generations.
+  struct CancelOnExit {
+    DseService& service;
+    std::string id;
+    ~CancelOnExit() {
+      service.handle(make_request("POST", "/v1/jobs/" + id + "/cancel"));
+    }
+  };
+  const CancelOnExit cancel_on_exit{service, running};
+  for (int i = 0; i < 500; ++i) {
+    const HttpResponse status =
+        service.handle(make_request("GET", "/v1/jobs/" + running));
+    if (body_json(status).at("state").as_string() == "running") break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+
+  for (std::size_t i = 0; i < JobQueue::kMaxFinishedJobs; ++i) {
+    const HttpResponse submitted = service.handle(
+        make_request("POST", "/v1/jobs", small_job_body("fcclr", 2, 1)));
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    const std::string id = body_json(submitted).at("id").as_string();
+    const HttpResponse cancelled =
+        service.handle(make_request("POST", "/v1/jobs/" + id + "/cancel"));
+    ASSERT_EQ(body_json(cancelled).at("state").as_string(), "cancelled");
+  }
+
+  EXPECT_EQ(service.handle(make_request("GET", "/v1/jobs/" + first)).status,
+            404);
+  EXPECT_EQ(
+      service.handle(make_request("GET", "/v1/jobs/" + first + "/result"))
+          .status,
+      404);
+  const util::JsonValue listed =
+      body_json(service.handle(make_request("GET", "/v1/jobs")));
+  EXPECT_EQ(listed.at("jobs").as_array().size(),
+            JobQueue::kMaxFinishedJobs + 1);  // the cap plus the running job
+  EXPECT_EQ(service.handle(make_request("GET", "/v1/jobs/" + running)).status,
+            200);
+}
+
 TEST(ServiceTest, ErrorPaths) {
   ServiceOptions options;
   options.workers = 1;
