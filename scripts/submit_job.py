@@ -164,13 +164,6 @@ def build_spec(args: argparse.Namespace) -> dict:
         spec["threads"] = args.threads
     if args.qos_max_makespan_us is not None:
         spec["qos"] = {"max_makespan_us": args.qos_max_makespan_us}
-    if args.islands is not None:
-        islands = {"count": args.islands}
-        if args.migration_interval is not None:
-            islands["migration_interval"] = args.migration_interval
-        if args.migration_size is not None:
-            islands["migration_size"] = args.migration_size
-        spec["islands"] = islands
     return spec
 
 
@@ -207,13 +200,6 @@ def main() -> None:
     parser.add_argument("--pop", type=int, default=16)
     parser.add_argument("--gens", type=int, default=4)
     parser.add_argument("--threads", type=int)
-    parser.add_argument("--islands", type=int,
-                        help="island-model shard count (docs/SCALING.md; "
-                        "part of the model key)")
-    parser.add_argument("--migration-interval", type=int,
-                        help="generations between island migrations")
-    parser.add_argument("--migration-size", type=int,
-                        help="emigrants per island per migration")
     parser.add_argument("--qos-max-makespan-us", type=float,
                         help="adds a QoS bound (changes the model key)")
     parser.add_argument("--out", help="write the result JSON here")

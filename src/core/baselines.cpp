@@ -35,9 +35,8 @@ DseOutcome run_single_layer(const DseMethodology& dse,
   util::Rng rng(options.seed);
   util::log_info() << "single-layer " << to_string(layer) << ": "
                    << dse.application().graph.num_tasks() << " tasks";
-  return DseMethodology::collect(moea::run_island_nsga2(
-      options.ga, options.island, problem.ops(options.ga.mutation_indpb),
-      rng));
+  return DseMethodology::collect(
+      moea::run_nsga2(options.ga, problem.ops(options.ga.mutation_indpb), rng));
 }
 
 AgnosticOutcome run_agnostic(const DseMethodology& dse,

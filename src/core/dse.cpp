@@ -83,9 +83,9 @@ DseOutcome DseMethodology::run_fcclr(const DseOptions& options,
   if (options.heuristic_seed) {
     seeds.push_back(heft_clr_mapping(problem).genome);
   }
-  auto result = moea::run_island_nsga2(
-      options.ga, options.island, problem.ops(options.ga.mutation_indpb), rng,
-      std::move(seeds));
+  auto result = moea::run_nsga2(options.ga,
+                                problem.ops(options.ga.mutation_indpb), rng,
+                                std::move(seeds));
   return collect(std::move(result));
 }
 
@@ -104,9 +104,9 @@ DseOutcome DseMethodology::run_kresilient(
   if (options.heuristic_seed) {
     seeds.push_back(heft_clr_mapping(problem.nominal()).genome);
   }
-  auto result = moea::run_island_nsga2(
-      options.ga, options.island, problem.ops(options.ga.mutation_indpb), rng,
-      std::move(seeds));
+  auto result = moea::run_nsga2(options.ga,
+                                problem.ops(options.ga.mutation_indpb), rng,
+                                std::move(seeds));
   return collect(std::move(result));
 }
 
@@ -125,8 +125,8 @@ DseOutcome DseMethodology::run_pfclr(const DseOptions& options,
   util::Rng rng(options.seed);
   util::log_info() << "pfCLR: " << app_.graph.num_tasks() << " tasks, "
                    << problem.layout().gene_count() << " genes";
-  auto result = moea::run_island_nsga2(
-      options.ga, options.island, problem.ops(options.ga.mutation_indpb), rng);
+  auto result =
+      moea::run_nsga2(options.ga, problem.ops(options.ga.mutation_indpb), rng);
   return collect(std::move(result));
 }
 
@@ -149,8 +149,8 @@ DseOutcome DseMethodology::run_proposed(const DseOptions& options,
   moea::Nsga2Result<MappingGenome> pf_result;
   {
     const util::PhaseTimer stage_timer("dse.proposed.pfclr_stage");
-    pf_result = moea::run_island_nsga2(
-        options.ga, options.island, pf.ops(options.ga.mutation_indpb), rng);
+    pf_result =
+        moea::run_nsga2(options.ga, pf.ops(options.ga.mutation_indpb), rng);
   }
 
   // Stage 2: full-configuration search seeded with stage 1's front.
@@ -167,9 +167,8 @@ DseOutcome DseMethodology::run_proposed(const DseOptions& options,
   moea::Nsga2Result<MappingGenome> fc_result;
   {
     const util::PhaseTimer stage_timer("dse.proposed.fcclr_stage");
-    fc_result = moea::run_island_nsga2(options.ga, options.island,
-                                       fc.ops(options.ga.mutation_indpb), rng,
-                                       std::move(seeds));
+    fc_result = moea::run_nsga2(options.ga, fc.ops(options.ga.mutation_indpb),
+                                rng, std::move(seeds));
   }
 
   DseOutcome outcome = collect(std::move(fc_result));

@@ -9,21 +9,44 @@
 //              run ("seeded search" of Fig. 4b).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
 #include "core/resilience.hpp"
 #include "core/tdse.hpp"
-#include "moea/island.hpp"
+#include "moea/nsga2.hpp"
+
+namespace clrearly::moea {
+
+/// bench/e2e only. The island model is gone, but bench/e2e/paper_flows.cpp
+/// (edited only together with the benchmark's baseline) still reads
+/// `options.island.islands` and calls run_island_nsga2. One population is
+/// all there is, so nothing here can be set. Delete with that benchmark
+/// revision (ROADMAP Leftovers).
+struct IslandParams {
+  static constexpr std::size_t islands = 1;
+};
+
+/// bench/e2e only (see IslandParams): forwards to run_nsga2.
+template <typename Genome>
+Nsga2Result<Genome> run_island_nsga2(const Nsga2Params& params,
+                                     const IslandParams& /*island*/,
+                                     const Nsga2Ops<Genome>& ops,
+                                     util::Rng& rng,
+                                     std::vector<Genome> seeds = {}) {
+  return run_nsga2(params, ops, rng, std::move(seeds));
+}
+
+}  // namespace clrearly::moea
 
 namespace clrearly::core {
 
 struct DseOptions {
   moea::Nsga2Params ga;               ///< population/generations/operator rates
-  /// Island-model sharding of the GA population (docs/SCALING.md). The
-  /// default single island is the plain single-population NSGA-II, so
-  /// existing results are bit-identical.
+  /// bench/e2e only (see moea::IslandParams); holds no value.
   moea::IslandParams island;
   SystemObjectives objectives;        ///< system-level metrics to minimize
   sched::QosSpec spec;                ///< QoS constraints (Eq. 5)

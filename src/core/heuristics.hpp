@@ -17,7 +17,7 @@
 //      probability. Stops when feasible or out of upgrades.
 //
 // The result is an fcCLR genome, directly usable as a design point or as a
-// seed for run_island_nsga2.
+// seed for moea::run_nsga2.
 #pragma once
 
 #include "core/problem.hpp"

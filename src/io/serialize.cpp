@@ -459,35 +459,6 @@ core::ResilienceSpec resilience_spec_from_json(const JsonValue& json) {
   return resilience;
 }
 
-JsonValue to_json(const moea::IslandParams& island) {
-  return JsonValue(
-      JsonObject{{"count", island.islands},
-                 {"migration_interval", island.migration_interval},
-                 {"migration_size", island.migration_size}});
-}
-
-moea::IslandParams island_params_from_json(const JsonValue& json) {
-  reject_unknown_keys(json.as_object(),
-                      {"count", "migration_interval", "migration_size"},
-                      "islands");
-  moea::IslandParams island;
-  if (const JsonValue* count = json.find("count")) {
-    island.islands = as_index(*count, "count");
-  }
-  if (const JsonValue* interval = json.find("migration_interval")) {
-    island.migration_interval = as_index(*interval, "migration_interval");
-  }
-  if (const JsonValue* size = json.find("migration_size")) {
-    island.migration_size = as_index(*size, "migration_size");
-  }
-  try {
-    island.validate();
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("serialize: islands: ") + e.what());
-  }
-  return island;
-}
-
 JsonValue to_json(const core::TdseObjectives& objectives) {
   return JsonValue(JsonObject{{"avg_exec_time", objectives.avg_exec_time},
                               {"error_prob", objectives.error_prob},
@@ -529,7 +500,6 @@ core::DseOptions JobSpec::options() const {
   options.seed = seed;
   options.heuristic_seed = heuristic_seed;
   options.resilience = resilience;
-  options.island = island;
   return options;
 }
 
@@ -555,7 +525,6 @@ JsonValue to_json(const JobSpec& spec) {
                   {"scenario", to_json(spec.scenario)},
                   {"ga", to_json(spec.ga)},
                   {"objectives", to_json(spec.objectives)},
-                  {"islands", to_json(spec.island)},
                   {"qos", to_json(spec.spec)},
                   {"resilience", to_json(spec.resilience)},
                   {"tdse_objectives", to_json(spec.tdse_objectives)},
@@ -618,8 +587,24 @@ JobSpec job_spec_from_json(const JsonValue& json) {
   if (const JsonValue* objectives = json.find("objectives")) {
     spec.objectives = system_objectives_from_json(*objectives);
   }
+  // The island model is gone. Every v1 spec and journal record carries its
+  // single-population default ({"count": 1, "migration_interval": 10,
+  // "migration_size": 4}), which still parses: strict keys, each value
+  // checked and then ignored, and any count but 1 a typed rejection.
   if (const JsonValue* islands = json.find("islands")) {
-    spec.island = island_params_from_json(*islands);
+    reject_unknown_keys(islands->as_object(),
+                        {"count", "migration_interval", "migration_size"},
+                        "islands");
+    for (const char* key : {"migration_interval", "migration_size"}) {
+      if (const JsonValue* v = islands->find(key)) (void)as_index(*v, key);
+    }
+    if (const JsonValue* count = islands->find("count")) {
+      if (as_index(*count, "islands.count") != 1) {
+        throw std::runtime_error(
+            "serialize: islands.count: the island model was removed; only "
+            "count 1 is accepted");
+      }
+    }
   }
   if (const JsonValue* qos = json.find("qos")) {
     spec.spec = qos_spec_from_json(*qos);

@@ -7,7 +7,7 @@
 // for the QoS limits of Eq. 5. Problem specifics (the Fig. 5 encoding) enter
 // exclusively through the Nsga2Ops callbacks, and directed seeding — the
 // backbone of the proposed pfCLR -> fcCLR flow — through the `seeds`
-// argument of run_island_nsga2 (moea/island.hpp), the one driver.
+// argument of run_nsga2, the one driver.
 #pragma once
 
 #include <algorithm>
@@ -44,19 +44,13 @@ struct GenerationProgress {
   std::size_t evaluations = 0;  ///< cumulative fitness evaluations
   std::size_t front_size = 0;   ///< current first-front size
   double hv_proxy = 0.0;        ///< bounding-box hypervolume proxy
-  /// Objective vectors of the *feasible* members of the current first front
-  /// (so it can be one shorter than front_size while the search is still
-  /// infeasible). Non-owning and valid only for the duration of the
-  /// callback — observers that need the snapshot later (bench_scale's
-  /// hypervolume-vs-evaluations curves) must copy it.
-  const std::vector<Objectives>* front_points = nullptr;
 };
 
 /// Progress observer. Must not touch the RNG or mutate search state — the
 /// hook is a pure observer, so hooked and unhooked runs are bit-identical.
 /// Throwing from the hook aborts the run (the exception propagates out of
-/// run_island_nsga2) — this is the sanctioned early-termination/cancellation
-/// path for long-running jobs.
+/// run_nsga2) — this is the sanctioned early-termination/cancellation path
+/// for long-running jobs.
 using ProgressHook = std::function<void(const GenerationProgress&)>;
 
 struct Nsga2Params {
@@ -183,11 +177,9 @@ struct FrontStats {
   double hv_proxy = 0.0;
 };
 
-/// The progress report of every GA call site: each generation, the final
-/// front, and run_island_nsga2's epochs and merge. The first front is the
-/// members the caller ranked 0 — the engine's region-biased ranks, or a
-/// union front — and is never re-ranked here; the proxy and the snapshot
-/// keep its feasible members. Fires `hook` (when set) with the snapshot.
+/// The progress report of each generation and of the final front. The first
+/// front is the members the caller ranked 0, never re-ranked here; the proxy
+/// keeps its feasible members. Fires `hook` (when set) with the report.
 inline FrontStats report_progress(const ProgressHook& hook,
                                   std::size_t generation,
                                   std::size_t generations,
@@ -199,12 +191,10 @@ inline FrontStats report_progress(const ProgressHook& hook,
   std::size_t feasible = 0;
   Objectives lo;
   Objectives hi;
-  std::vector<Objectives> snapshot;  // copied only for the hook
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (rank[i] != 0) continue;
     ++stats.size;
     if (!is_feasible(violations[i])) continue;
-    if (hook) snapshot.push_back(points[i]);
     if (feasible++ == 0) {
       lo = points[i];
       hi = points[i];
@@ -221,7 +211,7 @@ inline FrontStats report_progress(const ProgressHook& hook,
   }
   if (hook) {
     hook(GenerationProgress{generation, generations, evaluations, stats.size,
-                            stats.hv_proxy, &snapshot});
+                            stats.hv_proxy});
   }
   return stats;
 }
@@ -229,10 +219,8 @@ inline FrontStats report_progress(const ProgressHook& hook,
 }  // namespace detail
 
 /// Steppable NSGA-II: one engine = one population evolving generation by
-/// generation. run_island_nsga2 (moea/island.hpp) is the one driver: with a
-/// single island it constructs one engine, advances it to the end and
-/// finishes it; with several it drives engines side by side and exchanges
-/// individuals between generations through emigrants()/immigrate().
+/// generation. run_nsga2 below is the one driver: it constructs one engine,
+/// advances it to the end and finishes it.
 ///
 /// Every generation pipelines two phases: a serial *variation* phase
 /// (selection, crossover, mutation — the only RNG consumers, drawn on the
@@ -279,31 +267,8 @@ class Nsga2Engine {
     next_violations_.reserve(params_.population_size);
   }
 
-  std::size_t generation() const noexcept { return generation_; }
   bool done() const noexcept { return generation_ >= params_.generations; }
-  std::size_t evaluations() const noexcept { return result_.evaluations; }
-
-  /// Optional objective-space search bias (the island model's cone
-  /// separation, docs/SCALING.md): a non-negative penalty, a pure function
-  /// of the objective vector, added to each member's constraint violation
-  /// when ranking parents and selecting survivors. Members outside this
-  /// engine's assigned region lose under constrained dominance, so search
-  /// effort concentrates inside the region. The *true* violation still
-  /// decides emigrants and the final front — the bias redirects
-  /// effort, it never fabricates or hides (in)feasibility in anything the
-  /// engine reports. Null (the default, and the only mode a single-island
-  /// run uses) keeps ranking bit-identical to the historical path.
-  void set_region_bias(std::function<double(const Objectives&)> bias) {
-    region_bias_ = std::move(bias);
-  }
-
-  const std::vector<EvaluatedGenome<Genome>>& population() const noexcept {
-    return result_.population;
-  }
   const std::vector<Objectives>& points() const noexcept { return points_; }
-  const std::vector<double>& violations() const noexcept {
-    return violations_;
-  }
 
   /// Evolve one generation: rank, telemetry/hook, serial variation
   /// pipelined with parallel evaluation, (mu + lambda) survivor selection.
@@ -317,7 +282,7 @@ class Nsga2Engine {
     const util::TraceSpan gen_span("nsga2.generation");
     generations_metric().add();
 
-    const RankCrowding rc = rank_and_crowding(points_, selection_violations());
+    const RankCrowding rc = rank_and_crowding(points_, violations_);
 
     // Per-generation convergence telemetry from already-computed data. Pure
     // reads — never feeds back into selection or the RNG.
@@ -369,52 +334,8 @@ class Nsga2Engine {
     ++generation_;
   }
 
-  /// Copies of (up to) `count` members of the current first feasible front:
-  /// the front is ordered lexicographically by objective vector (population
-  /// index breaks exact ties) and then sampled at an even stride, so the
-  /// emigrants span the whole front instead of clustering in its
-  /// lexicographic corner — repeated migrations would otherwise export the
-  /// same few individuals every epoch and homogenize the ring. Fully
-  /// deterministic regardless of how the population happens to be ordered.
-  /// The migration payload of the island model's ring topology.
-  std::vector<EvaluatedGenome<Genome>> emigrants(std::size_t count) const {
-    const auto fronts = non_dominated_sort(points_, violations_);
-    std::vector<std::size_t> first =
-        fronts.empty() ? std::vector<std::size_t>{} : fronts.front();
-    std::sort(first.begin(), first.end(), [&](std::size_t a, std::size_t b) {
-      if (points_[a] != points_[b]) return points_[a] < points_[b];
-      return a < b;
-    });
-    std::vector<EvaluatedGenome<Genome>> out;
-    if (count == 0 || first.empty()) return out;
-    const std::size_t take = std::min(count, first.size());
-    out.reserve(take);
-    for (std::size_t k = 0; k < take; ++k) {
-      // k-th of `take` evenly spaced picks over the sorted front (always
-      // includes index 0; covers the far end as take approaches the front
-      // size).
-      out.push_back(result_.population[first[k * first.size() / take]]);
-    }
-    return out;
-  }
-
-  /// Merge already-evaluated immigrants into the population and survivor-
-  /// select back down to the population size. Immigrants were evaluated by
-  /// their home island, so the evaluation count is NOT incremented — island
-  /// runs spend exactly the same evaluation budget as a single-population
-  /// run of equal size.
-  void immigrate(std::vector<EvaluatedGenome<Genome>> immigrants) {
-    if (immigrants.empty()) return;
-    for (auto& member : immigrants) {
-      points_.push_back(member.eval.objectives);
-      violations_.push_back(member.eval.violation);
-      result_.population.push_back(std::move(member));
-    }
-    select_survivors();
-  }
-
   /// Final front extraction + the final progress snapshot. Call exactly once,
-  /// after the last advance()/immigrate(); the engine is consumed.
+  /// after the last advance(); the engine is consumed.
   Nsga2Result<Genome> finish() {
     const auto fronts = non_dominated_sort(points_, violations_);
     result_.front =
@@ -449,8 +370,8 @@ class Nsga2Engine {
 
   void select_survivors() {
     auto& population = result_.population;
-    const std::vector<std::size_t> keep = survivor_selection(
-        points_, selection_violations(), params_.population_size);
+    const std::vector<std::size_t> keep =
+        survivor_selection(points_, violations_, params_.population_size);
     next_.clear();
     next_points_.clear();
     next_violations_.clear();
@@ -464,33 +385,31 @@ class Nsga2Engine {
     violations_.swap(next_violations_);
   }
 
-  /// Selection-time violations: the true violations with the region bias
-  /// (when set) added per member. Returns violations_ itself when unbiased,
-  /// so the historical path pays nothing.
-  const std::vector<double>& selection_violations() {
-    if (!region_bias_) return violations_;
-    biased_violations_.resize(violations_.size());
-    for (std::size_t i = 0; i < violations_.size(); ++i) {
-      biased_violations_[i] = violations_[i] + region_bias_(points_[i]);
-    }
-    return biased_violations_;
-  }
-
   Nsga2Params params_;
   const Nsga2Ops<Genome>& ops_;
   util::Rng& rng_;
   std::size_t generation_ = 0;
-  std::function<double(const Objectives&)> region_bias_;
 
   Nsga2Result<Genome> result_;
   std::vector<Objectives> points_;
   std::vector<double> violations_;
-  std::vector<double> biased_violations_;  ///< scratch for selection_violations
 
   // Scratch buffers for survivor selection, reused across generations.
   std::vector<EvaluatedGenome<Genome>> next_;
   std::vector<Objectives> next_points_;
   std::vector<double> next_violations_;
 };
+
+/// Run NSGA-II to the end: one engine, advanced generation by generation
+/// and finished. params.on_generation fires once per generation and once
+/// more after the last; throwing from it cancels the run.
+template <typename Genome>
+Nsga2Result<Genome> run_nsga2(const Nsga2Params& params,
+                              const Nsga2Ops<Genome>& ops, util::Rng& rng,
+                              std::vector<Genome> seeds = {}) {
+  Nsga2Engine<Genome> engine(params, ops, rng, std::move(seeds));
+  while (!engine.done()) engine.advance();
+  return engine.finish();
+}
 
 }  // namespace clrearly::moea

@@ -285,10 +285,8 @@ void run_job(JobRecord& job, ModelSession& session) {
   try {
     core::DseOptions options = job.spec().options();
     const std::string stage = job.spec().flow;
-    // For island jobs (spec.islands.count > 1) this hook fires once per
-    // migration epoch over the merged front rather than once per generation,
-    // so progress events and cancellation both land at epoch granularity
-    // (docs/SCALING.md).
+    // Fires once per generation (and once after the last), so progress
+    // events and cancellation both land at generation granularity.
     options.ga.on_generation = [&job, stage](
                                    const moea::GenerationProgress& progress) {
       if (job.cancel_requested()) throw JobCancelled();

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -117,8 +118,10 @@ double ArgParser::get_number(const std::string& name) const {
 
 std::uint64_t ArgParser::get_uint(const std::string& name) const {
   const double value = get_number(name);
-  if (value < 0.0 || value != static_cast<double>(
-                                  static_cast<std::uint64_t>(value))) {
+  constexpr double kTwoPow64 = 18446744073709551616.0;  // exact in a double
+  // Range-checked before the cast (casting NaN, infinities or values
+  // >= 2^64 is undefined), and written so NaN fails the range test too.
+  if (!(value >= 0.0 && value < kTwoPow64) || std::trunc(value) != value) {
     throw std::invalid_argument("option --" + name +
                                 " must be a non-negative integer");
   }
@@ -165,22 +168,6 @@ ArgParser& add_cache_options(ArgParser& parser) {
                      "disable the chain-solve cache (same as --cache-size 0)");
 }
 
-ArgParser& add_island_options(ArgParser& parser) {
-  parser.option("islands",
-                "island-model NSGA-II sub-populations sharing the GA "
-                "population (1 = single population; docs/SCALING.md)",
-                "1");
-  parser.option("migration-interval",
-                "generations between ring migrations of non-dominated "
-                "individuals between islands",
-                "10");
-  return parser.option(
-      "migration-size",
-      "individuals each island emigrates per migration (0 disables "
-      "migration)",
-      "4");
-}
-
 void apply_cache_options(const ArgParser& parser) {
   if (parser.has("no-cache")) {
     set_cache_capacity(0);
@@ -195,7 +182,6 @@ bool parse_standard_args(ArgParser& parser, int argc, char** argv,
   add_threads_option(parser);
   add_log_level_option(parser, default_log_level);
   add_cache_options(parser);
-  add_island_options(parser);
   add_observability_options(parser);
   std::vector<std::string> args;
   args.reserve(argc > 1 ? static_cast<std::size_t>(argc - 1) : 0);

@@ -88,18 +88,9 @@ ArgParser& add_cache_options(ArgParser& parser);
 /// (CLREARLY_CACHE env or kDefaultCacheCapacity) stays in effect.
 void apply_cache_options(const ArgParser& parser);
 
-/// Declare the shared island-model options (docs/SCALING.md): --islands N
-/// (independent NSGA-II sub-populations; 1 = plain single-population run),
-/// --migration-interval G (generations between ring migrations) and
-/// --migration-size M (emigrants per island per migration). Consumed via
-/// moea::island_params_from_args, which tolerates parsers that never
-/// declared them.
-ArgParser& add_island_options(ArgParser& parser);
-
-/// Standard driver prologue: declares --help, --threads, --log-level,
-/// --cache-size/--no-cache and the island options
-/// (--islands/--migration-interval/--migration-size) on `parser` (after any
-/// driver-specific declarations), parses argv[1:], and
+/// Standard driver prologue: declares --help, --threads, --log-level and
+/// --cache-size/--no-cache on `parser` (after any driver-specific
+/// declarations), parses argv[1:], and
 ///  * on --help prints the generated usage text and returns false (drivers
 ///    then exit 0),
 ///  * on a parse error prints the error + usage to stderr and exits with 2,

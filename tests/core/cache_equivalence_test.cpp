@@ -16,7 +16,7 @@
 #include "app/characterizer.hpp"
 #include "app/sobel.hpp"
 #include "core/dse.hpp"
-#include "moea/island.hpp"
+#include "moea/nsga2.hpp"
 #include "platform/architecture.hpp"
 #include "reliability/clr_chain_builder.hpp"
 #include "util/log.hpp"
@@ -157,7 +157,7 @@ TEST_F(CacheEquivalenceTest, PopulationPointsAndViolationsMatchBitForBit) {
   util::set_cache_capacity(0);
   util::set_thread_count(1);
   util::Rng rng_off(21);
-  const auto off = moea::run_island_nsga2(params, {}, problem.ops(), rng_off);
+  const auto off = moea::run_nsga2(params, problem.ops(), rng_off);
   ASSERT_FALSE(off.population.empty());
 
   for (const std::size_t capacity : {std::size_t{4096}, std::size_t{32}}) {
@@ -179,8 +179,7 @@ TEST_F(CacheEquivalenceTest, PopulationPointsAndViolationsMatchBitForBit) {
                    << "capacity " << capacity << ", threads " << threads);
       util::set_thread_count(threads);
       util::Rng rng_on(21);
-      const auto on =
-          moea::run_island_nsga2(params, {}, cached_problem.ops(), rng_on);
+      const auto on = moea::run_nsga2(params, cached_problem.ops(), rng_on);
 
       EXPECT_EQ(off.evaluations, on.evaluations);
       ASSERT_EQ(off.population.size(), on.population.size());

@@ -15,7 +15,7 @@
 #include "app/sobel.hpp"
 #include "core/dse.hpp"
 #include "core/heuristics.hpp"
-#include "moea/island.hpp"
+#include "moea/nsga2.hpp"
 #include "core/sim_bridge.hpp"
 #include "platform/architecture.hpp"
 #include "sim/schedule_sim.hpp"
@@ -182,45 +182,16 @@ TEST_F(DeterminismTest, ScheduleSimulatorIsThreadCountInvariant) {
   EXPECT_GT(serial.makespan_mean_us, 0.0);
 }
 
-TEST_F(DeterminismTest, IslandFlowIsThreadCountInvariant) {
-  // The island-model layer carries the same contract as every flow above:
-  // per-island split streams, serial migration and merge, so the sharded
-  // fcCLR run is bit-identical at any worker count.
-  const core::DseMethodology dse = methodology();
-  core::DseOptions o = options();
-  o.island.islands = 3;
-  o.island.migration_interval = 3;
-  o.island.migration_size = 2;
-  util::set_thread_count(1);
-  const core::DseOutcome serial = dse.run_fcclr(o);
-  util::set_thread_count(4);
-  const core::DseOutcome parallel = dse.run_fcclr(o);
-  ASSERT_FALSE(serial.front.empty());
-  expect_identical(serial, parallel);
-}
-
-TEST_F(DeterminismTest, IslandFlowIsRepeatableAcrossRuns) {
-  const core::DseMethodology dse = methodology();
-  core::DseOptions o = options();
-  o.island.islands = 4;
-  o.island.migration_interval = 2;
-  o.island.migration_size = 1;
-  const core::DseOutcome first = dse.run_fcclr(o);
-  const core::DseOutcome second = dse.run_fcclr(o);
-  ASSERT_FALSE(first.front.empty());
-  expect_identical(first, second);
-}
-
-TEST_F(DeterminismTest, Islands1MatchesHandRolledNsga2) {
-  // --islands 1 through the DSE entry point must reproduce the pre-island
-  // single-population flow bit for bit: same heuristic seeding, same RNG
-  // stream, same front. Pinned on both paper applications.
+TEST_F(DeterminismTest, FcclrMatchesHandRolledNsga2) {
+  // run_fcclr must reproduce the engine loop spelled out by hand bit for
+  // bit: same heuristic seeding, same RNG stream, same front. Pinned on both
+  // paper applications.
   for (const app::Application& application :
        {app::make_sobel_application(), app::make_mjpeg_application()}) {
     const core::DseMethodology dse(application,
                                    platform::Architecture::paper_default(),
                                    reliability::TaskAnalyzer::paper_default());
-    core::DseOptions o = options();  // island.islands defaults to 1
+    core::DseOptions o = options();
     o.heuristic_seed = true;  // run_fcclr only seeds with HEFT when asked to
     const core::ClrMappingProblem problem = dse.build_fcclr_problem(o);
 
@@ -271,13 +242,11 @@ TEST_F(DeterminismTest, GaPopulationIsThreadCountInvariant) {
 
   util::set_thread_count(1);
   util::Rng rng_serial(7);
-  const auto serial = moea::run_island_nsga2(params, {}, problem.ops(),
-                                            rng_serial);
+  const auto serial = moea::run_nsga2(params, problem.ops(), rng_serial);
 
   util::set_thread_count(4);
   util::Rng rng_parallel(7);
-  const auto parallel = moea::run_island_nsga2(params, {}, problem.ops(),
-                                              rng_parallel);
+  const auto parallel = moea::run_nsga2(params, problem.ops(), rng_parallel);
 
   EXPECT_EQ(serial.evaluations, parallel.evaluations);
   ASSERT_EQ(serial.population.size(), parallel.population.size());
@@ -296,10 +265,9 @@ TEST_F(DeterminismTest, GaPopulationIsThreadCountInvariant) {
 }
 
 TEST_F(DeterminismTest, ProgressReportsAreThreadCountInvariant) {
-  // Every progress report — each GenerationProgress field and front point —
-  // must match between serial and parallel runs: per generation on one
-  // island, where variation is pipelined with evaluation, and per epoch on
-  // four, where each island runs as one inline strand.
+  // Every progress report — each GenerationProgress field — must match
+  // between serial and parallel runs, where variation is pipelined with
+  // evaluation.
   const core::ClrMappingProblem problem(
       app::make_sobel_application(), platform::Architecture::paper_default(),
       reliability::TaskAnalyzer::paper_default(), core::SystemObjectives{},
@@ -310,10 +278,8 @@ TEST_F(DeterminismTest, ProgressReportsAreThreadCountInvariant) {
     std::size_t evaluations = 0;
     std::size_t front_size = 0;
     double hv_proxy = 0.0;
-    std::vector<moea::Objectives> front_points;
   };
-  const auto record = [&](std::size_t threads,
-                          const moea::IslandParams& island) {
+  const auto record = [&](std::size_t threads) {
     util::set_thread_count(threads);
     std::vector<Report> reports;
     moea::Nsga2Params params;
@@ -322,35 +288,25 @@ TEST_F(DeterminismTest, ProgressReportsAreThreadCountInvariant) {
     params.on_generation = [&](const moea::GenerationProgress& progress) {
       reports.push_back({progress.generation, progress.generations,
                          progress.evaluations, progress.front_size,
-                         progress.hv_proxy, *progress.front_points});
+                         progress.hv_proxy});
     };
     util::Rng rng(7);
-    moea::run_island_nsga2(params, island, problem.ops(), rng);
+    moea::run_nsga2(params, problem.ops(), rng);
     return reports;
   };
 
-  for (const std::size_t islands : {1u, 4u}) {
-    SCOPED_TRACE("islands " + std::to_string(islands));
-    moea::IslandParams island;
-    island.islands = islands;
-    island.migration_interval = 2;
-    island.migration_size = 2;
-    const std::vector<Report> serial = record(1, island);
-    const std::vector<Report> parallel = record(4, island);
-    ASSERT_EQ(serial.size(), islands == 1 ? 9u : 4u);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t r = 0; r < serial.size(); ++r) {
-      EXPECT_EQ(serial[r].generation, parallel[r].generation) << "report " << r;
-      EXPECT_EQ(serial[r].generations, parallel[r].generations)
-          << "report " << r;
-      EXPECT_EQ(serial[r].evaluations, parallel[r].evaluations)
-          << "report " << r;
-      EXPECT_EQ(serial[r].front_size, parallel[r].front_size)
-          << "report " << r;
-      EXPECT_EQ(serial[r].hv_proxy, parallel[r].hv_proxy) << "report " << r;
-      EXPECT_EQ(serial[r].front_points, parallel[r].front_points)
-          << "report " << r;
-    }
+  const std::vector<Report> serial = record(1);
+  const std::vector<Report> parallel = record(4);
+  ASSERT_EQ(serial.size(), 9u);
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t r = 0; r < serial.size(); ++r) {
+    EXPECT_EQ(serial[r].generation, parallel[r].generation) << "report " << r;
+    EXPECT_EQ(serial[r].generations, parallel[r].generations)
+        << "report " << r;
+    EXPECT_EQ(serial[r].evaluations, parallel[r].evaluations)
+        << "report " << r;
+    EXPECT_EQ(serial[r].front_size, parallel[r].front_size) << "report " << r;
+    EXPECT_EQ(serial[r].hv_proxy, parallel[r].hv_proxy) << "report " << r;
   }
 }
 

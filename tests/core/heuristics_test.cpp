@@ -8,7 +8,7 @@
 #include "app/sobel.hpp"
 #include "core/experiment.hpp"
 #include "core/tdse.hpp"
-#include "moea/island.hpp"
+#include "moea/nsga2.hpp"
 #include "platform/architecture.hpp"
 
 namespace clrearly::core {
@@ -157,8 +157,8 @@ TEST(HeftClrTest, SeedsImproveGaConvergence) {
   ga.population_size = 24;
   ga.generations = 4;  // deliberately tiny
   util::Rng rng(5);
-  const auto seeded = moea::run_island_nsga2(ga, {}, problem.ops(), rng,
-                                             {heuristic.genome});
+  const auto seeded =
+      moea::run_nsga2(ga, problem.ops(), rng, {heuristic.genome});
   bool any_feasible = false;
   for (std::size_t i : seeded.front) {
     if (seeded.population[i].eval.violation <= 0.0) any_feasible = true;

@@ -136,9 +136,13 @@ TEST(SerializeApplicationTest, BadClassTagRejected) {
 
 class SerializeFileTest : public ::testing::Test {
  protected:
-  std::string path_ = (std::filesystem::temp_directory_path() /
-                       "clrearly_serialize_test.json")
-                          .string();
+  // One file per test: ctest runs each test as its own process, in parallel.
+  std::string path_ =
+      (std::filesystem::temp_directory_path() /
+       (std::string("clrearly_serialize_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".json"))
+          .string();
   void TearDown() override { std::filesystem::remove(path_); }
 };
 

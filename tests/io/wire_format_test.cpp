@@ -278,48 +278,6 @@ TEST(WireFormatTest, RejectsMalformedResilience) {
                std::runtime_error);
 }
 
-TEST(WireFormatTest, IslandsRoundTripThroughJson) {
-  io::JobSpec spec = small_spec();
-  spec.island.islands = 4;
-  spec.island.migration_interval = 7;
-  spec.island.migration_size = 9;
-  const io::JobSpec back =
-      io::job_spec_from_json(util::json_parse(canon(spec)));
-  EXPECT_EQ(canon(spec), canon(back));
-  EXPECT_EQ(back.island.islands, 4u);
-  EXPECT_EQ(back.island.migration_interval, 7u);
-  EXPECT_EQ(back.island.migration_size, 9u);
-  EXPECT_EQ(back.island, spec.island);
-}
-
-TEST(WireFormatTest, IslandsAbsentKeepsSinglePopulationDefaults) {
-  const io::JobSpec spec = io::job_spec_from_json(util::json_parse(R"({
-    "format_version": 1,
-    "application": "sobel"
-  })"));
-  EXPECT_EQ(spec.island, moea::IslandParams{});
-  EXPECT_EQ(spec.island.islands, 1u);
-}
-
-TEST(WireFormatTest, RejectsMalformedIslands) {
-  // Unknown sub-keys inside "islands" are rejected just like top-level.
-  EXPECT_THROW(io::job_spec_from_json(util::json_parse(R"({
-                 "format_version": 1, "application": "sobel",
-                 "islands": {"cout": 2}
-               })")),
-               std::runtime_error);
-  EXPECT_THROW(io::job_spec_from_json(util::json_parse(R"({
-                 "format_version": 1, "application": "sobel",
-                 "islands": {"count": 0}
-               })")),
-               std::runtime_error);
-  EXPECT_THROW(io::job_spec_from_json(util::json_parse(R"({
-                 "format_version": 1, "application": "sobel",
-                 "islands": {"count": 2, "migration_interval": 0}
-               })")),
-               std::runtime_error);
-}
-
 TEST(WireFormatTest, ArchiveSizeParsesOnlyAsZeroAndIsNoLongerWritten) {
   // The GA's external archive is gone. A v1 spec or journal record carrying
   // its disabled value still parses; any other value is a typed rejection.
@@ -339,15 +297,34 @@ TEST(WireFormatTest, ArchiveSizeParsesOnlyAsZeroAndIsNoLongerWritten) {
   EXPECT_EQ(canon(small_spec()).find("archive_size"), std::string::npos);
 }
 
-TEST(WireFormatTest, ModelKeyIgnoresIslandChanges) {
-  // Island sharding shapes the search, not the problem: no problem build
-  // reads it, so island variants of one model share a session.
-  const io::JobSpec a = small_spec();
-  io::JobSpec b = a;
-  b.island.islands = 4;
-  b.island.migration_interval = 3;
-  b.island.migration_size = 12;
-  EXPECT_EQ(a.model_key(), b.model_key());
+TEST(WireFormatTest, IslandsParseOnlyAsCountOneAndAreNoLongerWritten) {
+  // The island model is gone. Every v1 spec and journal record carries its
+  // single-population object, which still parses to the spec without it;
+  // any other count, and an unknown sub-key, is a typed rejection.
+  const auto with_islands = [](const std::string& islands) {
+    std::string body =
+        R"({"format_version": 1, "application": "sobel", "seed": 3)";
+    if (!islands.empty()) body += R"(, "islands": )" + islands;
+    return util::json_parse(body + "}");
+  };
+  const std::string plain = canon(io::job_spec_from_json(with_islands("")));
+  for (const char* ok :
+       {R"({"count": 1, "migration_interval": 10, "migration_size": 4})",
+        R"({"count": 1, "migration_interval": 0, "migration_size": 0})",
+        R"({"count": 1, "migration_interval": 3})", R"({"count": 1})",
+        R"({})"}) {
+    SCOPED_TRACE(ok);
+    EXPECT_EQ(canon(io::job_spec_from_json(with_islands(ok))), plain);
+  }
+  for (const char* bad :
+       {R"({"count": 0})", R"({"count": 2})", R"({"count": 4})",
+        R"({"count": -1})", R"({"count": 0.5})", R"({"cout": 1})",
+        R"({"count": 1, "migration_interval": -1})", R"(1)"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(io::job_spec_from_json(with_islands(bad)),
+                 std::runtime_error);
+  }
+  EXPECT_EQ(canon(small_spec()).find("islands"), std::string::npos);
 }
 
 TEST(WireFormatTest, ModelKeySeesResilienceChanges) {

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "moea/hypervolume.hpp"
-#include "moea/island.hpp"
 
 namespace clrearly::moea {
 namespace {
@@ -54,7 +53,7 @@ TEST(Nsga2Test, MissingCallbacksRejected) {
   Nsga2Params params;
   Nsga2Ops<RealGenome> ops;  // all empty
   util::Rng rng(1);
-  EXPECT_THROW(run_island_nsga2(params, {}, ops, rng), std::invalid_argument);
+  EXPECT_THROW(run_nsga2(params, ops, rng), std::invalid_argument);
 }
 
 // --- Convergence on ZDT1-style bi-objective problem ------------------------------
@@ -77,7 +76,7 @@ TEST(Nsga2Test, ConvergesTowardZdt1Front) {
   params.generations = 80;
   params.mutation_prob = 0.3;
   util::Rng rng(7);
-  const auto result = run_island_nsga2(params, {}, real_ops(6, zdt1), rng);
+  const auto result = run_nsga2(params, real_ops(6, zdt1), rng);
 
   ASSERT_FALSE(result.front.empty());
   // Every front point should be close to the analytical front
@@ -107,9 +106,8 @@ TEST(Nsga2Test, MoreGenerationsImproveHypervolume) {
   long_run.generations = 60;
 
   util::Rng rng_a(3), rng_b(3);
-  const auto quick =
-      run_island_nsga2(short_run, {}, real_ops(8, zdt1), rng_a);
-  const auto deep = run_island_nsga2(long_run, {}, real_ops(8, zdt1), rng_b);
+  const auto quick = run_nsga2(short_run, real_ops(8, zdt1), rng_a);
+  const auto deep = run_nsga2(long_run, real_ops(8, zdt1), rng_b);
 
   const Objectives ref{1.1, 11.0};
   EXPECT_GT(hypervolume(deep.front_objectives(), ref),
@@ -121,8 +119,8 @@ TEST(Nsga2Test, DeterministicForSeed) {
   params.population_size = 20;
   params.generations = 10;
   util::Rng rng_a(9), rng_b(9);
-  const auto a = run_island_nsga2(params, {}, real_ops(4, zdt1), rng_a);
-  const auto b = run_island_nsga2(params, {}, real_ops(4, zdt1), rng_b);
+  const auto a = run_nsga2(params, real_ops(4, zdt1), rng_a);
+  const auto b = run_nsga2(params, real_ops(4, zdt1), rng_b);
   ASSERT_EQ(a.front.size(), b.front.size());
   EXPECT_EQ(a.front_objectives(), b.front_objectives());
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -133,10 +131,34 @@ TEST(Nsga2Test, EvaluationCountMatchesSchedule) {
   params.population_size = 20;
   params.generations = 10;
   util::Rng rng(2);
-  const auto result = run_island_nsga2(params, {}, real_ops(3, zdt1), rng);
+  const auto result = run_nsga2(params, real_ops(3, zdt1), rng);
   // init + generations * offspring.
   EXPECT_EQ(result.evaluations, 20u + 10u * 20u);
   EXPECT_EQ(result.population.size(), 20u);
+}
+
+TEST(Nsga2Test, ProgressCurveEndsAtTheRunsEvaluationCount) {
+  // A G-generation run reports generations 0..G, one report each, and the
+  // last report describes the returned result: its evaluation count
+  // (pop + G * pop) and its first front.
+  Nsga2Params params;
+  params.population_size = 20;
+  params.generations = 7;
+  std::vector<GenerationProgress> reports;
+  params.on_generation = [&](const GenerationProgress& progress) {
+    reports.push_back(progress);
+  };
+  util::Rng rng(2);
+  const auto result = run_nsga2(params, real_ops(5, zdt1), rng);
+
+  ASSERT_EQ(reports.size(), params.generations + 1);
+  for (std::size_t g = 0; g < reports.size(); ++g) {
+    EXPECT_EQ(reports[g].generation, g);
+    EXPECT_EQ(reports[g].generations, params.generations);
+  }
+  EXPECT_EQ(result.evaluations, 20u + 7u * 20u);
+  EXPECT_EQ(reports.back().evaluations, result.evaluations);
+  EXPECT_EQ(reports.back().front_size, result.front.size());
 }
 
 // --- Constraint handling -----------------------------------------------------------
@@ -154,7 +176,7 @@ TEST(Nsga2Test, ConstraintsSteerToFeasibleRegion) {
   params.generations = 60;
   params.mutation_prob = 0.3;
   util::Rng rng(5);
-  const auto result = run_island_nsga2(params, {}, real_ops(2, eval), rng);
+  const auto result = run_nsga2(params, real_ops(2, eval), rng);
 
   ASSERT_FALSE(result.front.empty());
   for (std::size_t i : result.front) {
@@ -182,8 +204,7 @@ TEST(Nsga2Test, SeedsSurviveWhenOptimal) {
   params.generations = 5;
   util::Rng rng(6);
   std::vector<RealGenome> seeds{RealGenome(4, 0.0)};
-  const auto result =
-      run_island_nsga2(params, {}, real_ops(4, eval), rng, seeds);
+  const auto result = run_nsga2(params, real_ops(4, eval), rng, seeds);
   double best = 1e9;
   for (const Objectives& p : result.front_objectives()) {
     best = std::min(best, p[0]);
@@ -204,9 +225,8 @@ TEST(Nsga2Test, SeedingAcceleratesConvergence) {
     seeds.push_back(g);
   }
   util::Rng rng_seeded(4), rng_cold(4);
-  const auto seeded =
-      run_island_nsga2(params, {}, real_ops(8, zdt1), rng_seeded, seeds);
-  const auto cold = run_island_nsga2(params, {}, real_ops(8, zdt1), rng_cold);
+  const auto seeded = run_nsga2(params, real_ops(8, zdt1), rng_seeded, seeds);
+  const auto cold = run_nsga2(params, real_ops(8, zdt1), rng_cold);
 
   const Objectives ref{1.1, 11.0};
   EXPECT_GT(hypervolume(seeded.front_objectives(), ref),

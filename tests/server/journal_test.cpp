@@ -196,6 +196,53 @@ TEST(JournalTest, GarbledSeqOrVersionRecordsAreSkipped) {
   EXPECT_EQ(stats.dropped_torn, 0u);
 }
 
+TEST(JournalTest, V1IslandsObjectReplaysAndOtherCountsAreSkipped) {
+  // Journals written while the island model existed carry its
+  // single-population object in every submit record's spec. Those records
+  // replay as the spec without it; a record with any other count is skipped
+  // like any spec this build rejects, and replay goes on past it.
+  const std::string dir = fresh_dir("journal_islands");
+  const std::string path = dir + "/journal.jsonl";
+  {
+    JobJournal journal(path, /*compact_bytes=*/0);
+    journal.record_submitted(JobRecord("job-000001", tiny_spec(1)),
+                             JobPriority::kNormal, "default");
+  }
+  std::string line;
+  {
+    std::ifstream in(path);
+    std::getline(in, line);
+  }
+  const util::JsonValue good = util::json_parse(line);
+  const auto append = [&](const char* id, double seq, std::size_t count) {
+    util::JsonValue record = good;
+    record.as_object()["id"] = util::JsonValue(id);
+    record.as_object()["seq"] = util::JsonValue(seq);
+    record.as_object()["spec"].as_object()["islands"] = util::json_parse(
+        R"({"count": )" + std::to_string(count) +
+        R"(, "migration_interval": 10, "migration_size": 4})");
+    std::string flat;
+    for (char c : util::json_serialize(record)) {
+      if (c != '\n') flat.push_back(c);
+    }
+    std::ofstream(path, std::ios::app) << flat << "\n";
+  };
+  append("job-000002", 12.0, 1);
+  append("job-000003", 13.0, 4);
+  append("job-000004", 14.0, 1);
+
+  JournalReplayStats stats;
+  const std::vector<JournalEntry> entries = JobJournal::replay(path, &stats);
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].id, "job-000001");
+  EXPECT_EQ(entries[1].id, "job-000002");
+  EXPECT_EQ(entries[2].id, "job-000004");
+  EXPECT_EQ(stats.skipped_version, 1u);
+  EXPECT_EQ(stats.dropped_torn, 0u);
+  EXPECT_EQ(util::json_serialize(io::to_json(entries[1].spec)),
+            util::json_serialize(io::to_json(entries[0].spec)));
+}
+
 TEST(JournalTest, CompactionKeepsOnlyLiveJobs) {
   const std::string dir = fresh_dir("journal_compact");
   const std::string path = dir + "/journal.jsonl";

@@ -114,47 +114,6 @@ TEST(ServiceTest, JobResultMatchesOfflineFlowBitForBit) {
             offline.evaluations);
 }
 
-TEST(ServiceTest, IslandJobMatchesOfflineFlowBitForBit) {
-  // A sharded fcCLR job served through the queue must be bit-identical to
-  // the same spec through the offline entry points (what `clrearly dse
-  // --app sobel --flow fcclr --islands 3 ...` runs) — the island layer
-  // keeps the determinism contract across the wire.
-  const std::string body = R"({
-    "format_version": 1,
-    "flow": "fcclr",
-    "seed": 5,
-    "ga": {"population_size": 18, "generations": 6},
-    "islands": {"count": 3, "migration_interval": 2, "migration_size": 2},
-    "application": "sobel"
-  })";
-  ServiceOptions options;
-  options.workers = 1;
-  DseService service(options);
-  const std::string id = run_to_completion(service, body);
-  const util::JsonValue result = fetch_result(service, id);
-
-  const io::JobSpec spec = io::job_spec_from_json(util::json_parse(body));
-  EXPECT_EQ(spec.island.islands, 3u);
-  const core::DseMethodology dse(
-      spec.application, spec.architecture,
-      core::make_condition_analyzer(spec.scenario.environment_factor));
-  const core::DseOutcome offline = dse.run_fcclr(spec.options());
-
-  const util::JsonArray& front = result.at("front").as_array();
-  ASSERT_FALSE(front.empty());
-  ASSERT_EQ(front.size(), offline.front.size());
-  for (std::size_t i = 0; i < front.size(); ++i) {
-    const util::JsonArray& point = front[i].as_array();
-    ASSERT_EQ(point.size(), offline.front[i].size());
-    for (std::size_t k = 0; k < point.size(); ++k) {
-      EXPECT_EQ(point[k].as_number(), offline.front[i][k])
-          << "front[" << i << "][" << k << "]";
-    }
-  }
-  EXPECT_EQ(static_cast<std::size_t>(result.at("evaluations").as_number()),
-            offline.evaluations);
-}
-
 TEST(ServiceTest, KResilientJobMatchesOfflineFlowBitForBit) {
   const std::string body = R"({
     "format_version": 1,
@@ -224,48 +183,6 @@ TEST(ServiceTest, SecondIdenticalJobReusesItsSessionBitForBit) {
       run_to_completion(service, small_job_body("pfclr", 2));
   const util::JsonValue r3 = fetch_result(service, third);
   EXPECT_NE(r1.at("front"), r3.at("front"));
-}
-
-TEST(ServiceTest, IslandVariantsOfOneModelShareASession) {
-  // The model key leaves out island sharding (no problem build reads it),
-  // so a sharded job reuses the single-island job's session and each still
-  // matches its own offline run.
-  const std::string single = small_job_body("pfclr", 4);
-  std::string sharded = single;
-  sharded.insert(sharded.find("\"application\""),
-                 R"("islands": {"count": 2, "migration_interval": 2},
-    )");
-  ServiceOptions options;
-  options.workers = 1;
-  DseService service(options);
-  const util::Counter& session_hits =
-      util::metric_counter("server.sessions.hits");
-  const std::string first = run_to_completion(service, single);
-  const std::uint64_t hits_before = session_hits.value();
-  const std::string second = run_to_completion(service, sharded);
-  EXPECT_EQ(session_hits.value() - hits_before, 1u);
-
-  for (const auto& [id, body] : {std::pair{first, single},
-                                 std::pair{second, sharded}}) {
-    const util::JsonValue result = fetch_result(service, id);
-    const io::JobSpec spec = io::job_spec_from_json(util::json_parse(body));
-    const core::DseMethodology dse(
-        spec.application, spec.architecture,
-        core::make_condition_analyzer(spec.scenario.environment_factor));
-    const core::DseOutcome offline = dse.run_pfclr(spec.options());
-    const util::JsonArray& front = result.at("front").as_array();
-    ASSERT_EQ(front.size(), offline.front.size()) << body;
-    for (std::size_t i = 0; i < front.size(); ++i) {
-      const util::JsonArray& point = front[i].as_array();
-      ASSERT_EQ(point.size(), offline.front[i].size());
-      for (std::size_t k = 0; k < point.size(); ++k) {
-        EXPECT_EQ(point[k].as_number(), offline.front[i][k])
-            << body << " front[" << i << "][" << k << "]";
-      }
-    }
-    EXPECT_EQ(static_cast<std::size_t>(result.at("evaluations").as_number()),
-              offline.evaluations);
-  }
 }
 
 TEST(ServiceTest, SessionRebuildHitsTheChainCache) {
@@ -686,6 +603,14 @@ TEST(ServiceTest, ErrorPaths) {
   EXPECT_EQ(service
                 .handle(make_request("POST", "/v1/jobs",
                                      R"({"format_version": 9,
+                                         "application": "sobel"})"))
+                .status,
+            400);
+  // The island model is gone: only the v1 single-population object parses.
+  EXPECT_EQ(service
+                .handle(make_request("POST", "/v1/jobs",
+                                     R"({"format_version": 1,
+                                         "islands": {"count": 2},
                                          "application": "sobel"})"))
                 .status,
             400);

@@ -79,6 +79,16 @@ TEST(ArgParserTest, MalformedNumbersAreRejectedNotTruncated) {
   }
   p.parse({"--seed=-2.5e-3"});
   EXPECT_DOUBLE_EQ(p.get_number("seed"), -2.5e-3);
+  // get_uint range-checks before it casts: NaN, infinities and values of
+  // 2^64 and up are rejected, never cast (the cast would be undefined).
+  for (const char* bad :
+       {"nan", "inf", "-inf", "1e30", "18446744073709551616"}) {
+    p.parse({"--seed", bad});
+    EXPECT_THROW(p.get_uint("seed"), std::invalid_argument)
+        << "value '" << bad << "' must be rejected";
+  }
+  p.parse({"--seed", "18446744073709549568"});  // largest double below 2^64
+  EXPECT_EQ(p.get_uint("seed"), 18446744073709549568u);
 }
 
 TEST(ArgParserTest, DuplicateDeclarationRejected) {

@@ -21,8 +21,12 @@ std::string read_file(const std::string& path) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs each test as its own process, in parallel.
   std::string path_ =
-      (std::filesystem::temp_directory_path() / "clrearly_csv_test.csv")
+      (std::filesystem::temp_directory_path() /
+       (std::string("clrearly_csv_test_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv"))
           .string();
 
   void TearDown() override { std::filesystem::remove(path_); }

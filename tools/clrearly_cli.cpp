@@ -21,10 +21,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,7 +46,6 @@
 #include "sim/validate.hpp"
 #include "io/serialize.hpp"
 #include "moea/hypervolume.hpp"
-#include "moea/island.hpp"
 #include "platform/architecture.hpp"
 #include "sched/timeline.hpp"
 #include "server/server.hpp"
@@ -73,15 +74,22 @@ void declare_common(util::ArgParser& parser) {
   parser.flag("help", "show this help");
   util::add_threads_option(parser);
   util::add_cache_options(parser);
-  util::add_island_options(parser);
   util::add_observability_options(parser);
 }
 
 /// Parse and apply the common options. Returns false when --help was
-/// requested (the help text has then already been printed; return 0).
+/// requested (the help text has then already been printed; return 0). A
+/// malformed command line (an unknown option, a missing value) is a usage
+/// error: like util::parse_standard_args, print it with the usage and exit 2.
 bool apply_common(util::ArgParser& parser,
                   const std::vector<std::string>& args) {
-  parser.parse(args);
+  try {
+    parser.parse(args);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n\n%s", error.what(),
+                 parser.help().c_str());
+    std::exit(2);
+  }
   if (parser.has("help")) {
     std::printf("%s", parser.help().c_str());
     return false;
@@ -286,7 +294,6 @@ int cmd_dse(const std::vector<std::string>& args) {
   options.ga.population_size = parser.get_uint("pop");
   options.ga.generations = parser.get_uint("gens");
   options.seed = parser.get_uint("seed");
-  options.island = moea::island_params_from_args(parser);
   if (parser.get_number("min-frel") > 0.0) {
     options.spec.min_functional_rel = parser.get_number("min-frel");
   }
@@ -392,7 +399,6 @@ int cmd_simulate(const std::vector<std::string>& args) {
   options.ga.population_size = parser.get_uint("pop");
   options.ga.generations = parser.get_uint("gens");
   options.seed = parser.get_uint("seed");
-  options.island = moea::island_params_from_args(parser);
 
   const std::string flow = parser.get("flow");
   const NominalFlowRun run = run_nominal_flow(dse, options, flow);
