@@ -8,6 +8,7 @@
 // which is what makes the multi-stage GA flows tractable on a laptop.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -119,11 +120,11 @@ BENCHMARK(BM_FitnessEvaluation)
     ->Arg(10)->Arg(50)->Arg(100)->Arg(500)->Arg(2000);
 
 void BM_Nsga2Generation(benchmark::State& state) {
-  // One Nsga2Engine::advance at population 100 on an fcCLR problem: ranking,
-  // variation pipelined with the offspring's evaluation, survivor
-  // selection. The problem and the initial population are built once,
-  // outside the timed loop, so each iteration is one steady-state
-  // generation.
+  // One Nsga2Engine::advance at population 100 on an fcCLR problem:
+  // variation pipelined with the offspring's evaluation, then survivor
+  // selection, which also ranks the survivors. The problem and the initial
+  // population are built once, outside the timed loop, so each iteration is
+  // one steady-state generation.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const app::Application syn = app::make_synthetic_application(n, 10, 7);
   const core::DseMethodology dse(syn, platform::Architecture::paper_default(),
@@ -138,7 +139,6 @@ void BM_Nsga2Generation(benchmark::State& state) {
   moea::Nsga2Engine<core::MappingGenome> engine(params, ops, rng);
   for (auto _ : state) {
     engine.advance();
-    benchmark::DoNotOptimize(engine.points().data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
@@ -147,13 +147,32 @@ void BM_Nsga2Generation(benchmark::State& state) {
 BENCHMARK(BM_Nsga2Generation)->Arg(20)->Arg(100)->Unit(benchmark::kMicrosecond);
 
 void BM_NonDominatedSort(benchmark::State& state) {
-  // NSGA-II's ranking kernel alone: n two-objective points, unconstrained
-  // (range(1) == 0) or with half the points infeasible (range(1) == 1).
+  // NSGA-II's ranking kernel alone on n two-objective points, by input
+  // shape (range(1)):
+  //   0  uniform random, unconstrained: no duplicates, many fronts;
+  //   1  the same with half the points infeasible;
+  //   2  GA-shaped, like a (mu + lambda) pool: a coarse grid near one
+  //      staircase, so about half the points share the first front, about
+  //      40% duplicates and a few infeasible members.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(8);
   std::vector<moea::Objectives> points;
   std::vector<double> violations;
   for (std::size_t i = 0; i < n; ++i) {
+    if (state.range(1) == 2) {
+      if (i > 0 && rng.bernoulli(0.4)) {
+        const std::size_t j = rng.index(i);
+        points.push_back(points[j]);
+        violations.push_back(violations[j]);
+        continue;
+      }
+      const double x = std::floor(rng.uniform(0.0, 60.0));
+      const double above =
+          rng.bernoulli(0.5) ? 0.0 : std::floor(rng.uniform(1.0, 6.0));
+      points.push_back({x, 60.0 - x + above});
+      violations.push_back(rng.bernoulli(0.02) ? rng.uniform() : 0.0);
+      continue;
+    }
     points.push_back({rng.uniform(), rng.uniform()});
     if (state.range(1) != 0) {
       violations.push_back(rng.bernoulli(0.5) ? 0.0 : rng.uniform());
@@ -165,6 +184,8 @@ void BM_NonDominatedSort(benchmark::State& state) {
 }
 BENCHMARK(BM_NonDominatedSort)
     ->ArgsProduct({{100, 200, 1000}, {0, 1}})
+    ->Args({100, 2})
+    ->Args({200, 2})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Hypervolume(benchmark::State& state) {

@@ -61,22 +61,23 @@ MappingGenome GenomeLayout::random(util::Rng& rng) const {
   return g;
 }
 
-std::pair<MappingGenome, MappingGenome> GenomeLayout::crossover(
-    const MappingGenome& a, const MappingGenome& b, util::Rng& rng) const {
+void GenomeLayout::crossover(const MappingGenome& a, const MappingGenome& b,
+                             MappingGenome& child_a, MappingGenome& child_b,
+                             util::Rng& rng) const {
   validate(a);
   validate(b);
   if (rng.bernoulli(0.5)) {
     // Configuration exchange: two-point crossover on the gene vectors.
-    std::pair<MappingGenome, MappingGenome> children{a, b};
-    moea::two_point_crossover(children.first.genes, children.second.genes,
-                              rng);
-    return children;
+    child_a = a;
+    child_b = b;
+    moea::two_point_crossover(child_a.genes, child_b.genes, rng);
+    return;
   }
   // Scheduling exchange: single-point order crossover on the permutation;
   // the parents' orders are never copied, only their genes.
-  auto [oa, ob] = moea::order_crossover(a.order, b.order, rng);
-  return {MappingGenome{std::move(oa), a.genes},
-          MappingGenome{std::move(ob), b.genes}};
+  moea::order_crossover(a.order, b.order, child_a.order, child_b.order, rng);
+  child_a.genes = a.genes;
+  child_b.genes = b.genes;
 }
 
 void GenomeLayout::mutate(MappingGenome& g, util::Rng& rng) const {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "moea/operators.hpp"
@@ -52,10 +51,12 @@ class GenomeLayout {
 
   /// The paper's crossover: with equal probability either the two-point
   /// exchange of configuration genes or the single-point order crossover of
-  /// the scheduling permutation. Parents are untouched; children returned.
-  std::pair<MappingGenome, MappingGenome> crossover(const MappingGenome& a,
-                                                    const MappingGenome& b,
-                                                    util::Rng& rng) const;
+  /// the scheduling permutation. Parents are untouched; the children are
+  /// overwritten in their existing storage (once warm, nothing allocates)
+  /// and must not alias a parent.
+  void crossover(const MappingGenome& a, const MappingGenome& b,
+                 MappingGenome& child_a, MappingGenome& child_b,
+                 util::Rng& rng) const;
 
   /// The paper's mutation: with equal probability either a single-point
   /// random reset of one configuration gene or a two-point swap in the

@@ -347,8 +347,9 @@ moea::Nsga2Ops<MappingGenome> ClrMappingProblem::ops(
   moea::Nsga2Ops<MappingGenome> ops;
   ops.create = [this](util::Rng& rng) { return layout_->random(rng); };
   ops.crossover = [this](const MappingGenome& a, const MappingGenome& b,
+                         MappingGenome& child_a, MappingGenome& child_b,
                          util::Rng& rng) {
-    return layout_->crossover(a, b, rng);
+    layout_->crossover(a, b, child_a, child_b, rng);
   };
   ops.mutate = [this, mutation_indpb](MappingGenome& g, util::Rng& rng) {
     layout_->mutate(g, rng, mutation_indpb);

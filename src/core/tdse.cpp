@@ -221,10 +221,11 @@ TdseResult Tdse::run_stochastic(
     return g;
   };
   ops.crossover = [](const moea::GeneVector& a, const moea::GeneVector& b,
+                     moea::GeneVector& child_a, moea::GeneVector& child_b,
                      util::Rng& rng) {
-    moea::GeneVector ca = a, cb = b;
-    moea::two_point_crossover(ca, cb, rng);
-    return std::make_pair(std::move(ca), std::move(cb));
+    child_a = a;
+    child_b = b;
+    moea::two_point_crossover(child_a, child_b, rng);
   };
   ops.mutate = [&cards](moea::GeneVector& g, util::Rng& rng) {
     moea::random_reset_mutation(g, cards, rng);

@@ -8,13 +8,19 @@
 // exclusively through the Nsga2Ops callbacks, and directed seeding — the
 // backbone of the proposed pfCLR -> fcCLR flow — through the `seeds`
 // argument of run_nsga2, the one driver.
+//
+// Each generation ranks once: survivor selection sorts the 2 mu pool and
+// hands back the survivors' ranks and crowding with the cut (see
+// PopulationRanking). The population lives in 2 mu fixed slots with one
+// flat objective array; offspring are written into slots mu .. 2 mu - 1 and
+// survivors move to the front by swaps, so a warm generation copies and
+// frees no genome.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -85,11 +91,14 @@ struct Nsga2Params {
 };
 
 /// Problem plug-in: genome construction, variation and evaluation.
+/// crossover(a, b, child_a, child_b, rng) overwrites the two children, which
+/// never alias a parent; assigning into their existing storage lets a warm
+/// generation vary without allocating.
 template <typename Genome>
 struct Nsga2Ops {
   std::function<Genome(util::Rng&)> create;
-  std::function<std::pair<Genome, Genome>(const Genome&, const Genome&,
-                                          util::Rng&)>
+  std::function<void(const Genome&, const Genome&, Genome&, Genome&,
+                     util::Rng&)>
       crossover;
   std::function<void(Genome&, util::Rng&)> mutate;
   std::function<Evaluation(const Genome&)> evaluate;
@@ -117,7 +126,9 @@ struct Nsga2Result {
 };
 
 /// Parent-selection ranking: NSGA-II rank (front index) and crowding
-/// distance for every population member.
+/// distance for every population member. A member no front lists (a
+/// dominance cycle, possible only with NaN objectives) ranks one past the
+/// last front, with crowding 0.
 struct RankCrowding {
   std::vector<std::size_t> rank;
   std::vector<double> crowding;
@@ -131,41 +142,53 @@ std::vector<std::size_t> survivor_selection(
     const std::vector<Objectives>& points,
     const std::vector<double>& violations, std::size_t target);
 
-namespace detail {
+/// NSGA-II's ranking of one population over flat objective rows (as
+/// ParetoRanker), reused generation after generation: a warm call allocates
+/// nothing. rank_and_crowding and survivor_selection wrap it.
+class PopulationRanking {
+ public:
+  /// Rank n points afresh: ranks()[i] is i's front, crowding()[i] its
+  /// crowding distance within that front (the number of fronts and 0 for a
+  /// point no front lists).
+  void rank(const double* rows, std::size_t n, std::size_t m,
+            const double* violations);
 
-/// Produce `count` genomes and evaluate them while production is still going
-/// on, then append them to `population` and the parallel `points` /
-/// `violations` arrays. `produce(slots, ready)` runs on the calling thread
-/// only — it is where the RNG is drawn, in the serial order — and writes one
-/// or more genomes into slots[ready], slots[ready + 1], ..., returning the
-/// new ready count; the global pool evaluates each published slot meanwhile
-/// (util::stream_for). Evaluation is pure, so each result lands in its own
-/// slot and the outcome is bit-identical to a serial loop at any thread
-/// count. Every genome is evaluated, duplicates included, so `evaluations`
-/// grows by `count`.
-template <typename Genome, typename Produce>
-void evaluate_append(const Nsga2Ops<Genome>& ops, std::size_t count,
-                     Produce&& produce,
-                     std::vector<EvaluatedGenome<Genome>>& population,
-                     std::vector<Objectives>& points,
-                     std::vector<double>& violations,
-                     std::size_t& evaluations) {
-  std::vector<Genome> genomes(count);
-  std::vector<Evaluation> evals(count);
-  util::stream_for(
-      count, [&](std::size_t ready) { return produce(genomes, ready); },
-      [&](std::size_t i) { evals[i] = ops.evaluate(genomes[i]); });
-  evaluations += count;
-  // Registry lookup once per process; per batch it's one striped add.
-  static util::Counter& evals_metric =
-      util::metric_counter("nsga2.evaluations");
-  evals_metric.add(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    points.push_back(evals[i].objectives);
-    violations.push_back(evals[i].violation);
-    population.push_back({std::move(genomes[i]), std::move(evals[i])});
+  /// (mu + lambda) survivor selection of `target` of the n points: whole
+  /// fronts, best first, then the members of the cut front with the largest
+  /// crowding distance. survivors() lists the kept rows in survivor order,
+  /// and ranks()[s] / crowding()[s] are what rank() on the survivors, in
+  /// that order, would give survivor s — without sorting them again.
+  ///
+  /// The survivors' fronts are the pool's fronts cut at front c, so a fresh
+  /// sort lists every whole front in the pool's order: those keep the
+  /// crowding computed on the pool. It lists the kept members of front c by
+  /// their lead (their last dominator sits in front c - 1, which is whole)
+  /// and then by survivor order; only they are crowded again, in that
+  /// order. Points no front lists (a dominance cycle, possible only with
+  /// NaN objectives) fill any places left, by index, ranked last.
+  void select(const double* rows, std::size_t n, std::size_t m,
+              const double* violations, std::size_t target);
+
+  const std::vector<std::size_t>& ranks() const noexcept { return ranks_; }
+  const std::vector<double>& crowding() const noexcept { return crowding_; }
+  const std::vector<std::size_t>& survivors() const noexcept {
+    return survivors_;
   }
-}
+
+ private:
+  ParetoRanker ranker_;
+  std::vector<std::size_t> ranks_;
+  std::vector<double> crowding_;
+  std::vector<std::size_t> survivors_;
+  // Scratch.
+  std::vector<double> distance_;
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> cut_;
+  std::vector<std::size_t> members_;
+  std::vector<unsigned char> listed_;
+};
+
+namespace detail {
 
 /// First-front size and bounding-box proxy of one progress report.
 struct FrontStats {
@@ -177,37 +200,38 @@ struct FrontStats {
   double hv_proxy = 0.0;
 };
 
-/// The progress report of each generation and of the final front. The first
-/// front is the members the caller ranked 0, never re-ranked here; the proxy
-/// keeps its feasible members. Fires `hook` (when set) with the report.
+/// The progress report of each generation and of the final front, over the
+/// first n flat rows. The first front is the members ranked 0, never
+/// re-ranked here; the proxy keeps its feasible members. Fires `hook` (when
+/// set) with the report.
 inline FrontStats report_progress(const ProgressHook& hook,
                                   std::size_t generation,
                                   std::size_t generations,
-                                  std::size_t evaluations,
-                                  const std::vector<Objectives>& points,
-                                  const std::vector<double>& violations,
-                                  const std::vector<std::size_t>& rank) {
+                                  std::size_t evaluations, const double* rows,
+                                  std::size_t m, const double* violations,
+                                  const std::size_t* rank, std::size_t n) {
   FrontStats stats;
   std::size_t feasible = 0;
-  Objectives lo;
-  Objectives hi;
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (rank[i] != 0) continue;
     ++stats.size;
-    if (!is_feasible(violations[i])) continue;
-    if (feasible++ == 0) {
-      lo = points[i];
-      hi = points[i];
-      continue;
-    }
-    for (std::size_t m = 0; m < points[i].size(); ++m) {
-      lo[m] = std::min(lo[m], points[i][m]);
-      hi[m] = std::max(hi[m], points[i][m]);
-    }
+    if (is_feasible(violations[i])) ++feasible;
   }
   if (feasible >= 2) {
     stats.hv_proxy = 1.0;
-    for (std::size_t m = 0; m < lo.size(); ++m) stats.hv_proxy *= hi[m] - lo[m];
+    for (std::size_t k = 0; k < m; ++k) {
+      bool first = true;
+      double lo = 0.0;
+      double hi = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rank[i] != 0 || !is_feasible(violations[i])) continue;
+        const double x = rows[i * m + k];
+        lo = first ? x : std::min(lo, x);
+        hi = first ? x : std::max(hi, x);
+        first = false;
+      }
+      stats.hv_proxy *= hi - lo;
+    }
   }
   if (hook) {
     hook(GenerationProgress{generation, generations, evaluations, stats.size,
@@ -245,50 +269,47 @@ class Nsga2Engine {
       throw std::invalid_argument(
           "Nsga2Engine: all ops callbacks are required");
     }
+    const std::size_t mu = params_.population_size;
+    genomes_.resize(2 * mu);
+    violations_.resize(2 * mu);
 
-    result_.population.reserve(params_.population_size * 2);
-    // Objective / violation arrays are kept in lock-step with the population
-    // (evaluation results only ever get appended or selected, never
-    // changed), so nothing is rebuilt from scratch between phases.
-    points_.reserve(params_.population_size * 2);
-    violations_.reserve(params_.population_size * 2);
-
-    detail::evaluate_append(
-        ops_, params_.population_size,
-        [&](std::vector<Genome>& slots, std::size_t ready) {
-          slots[ready] = ready < seeds.size() ? std::move(seeds[ready])
-                                              : ops_.create(rng_);
+    // The one batch evaluated before the objective count is known.
+    std::vector<Evaluation> initial(mu);
+    util::stream_for(
+        mu,
+        [&](std::size_t ready) {
+          genomes_[ready] = ready < seeds.size() ? std::move(seeds[ready])
+                                                 : ops_.create(rng_);
           return ready + 1;
         },
-        result_.population, points_, violations_, result_.evaluations);
-
-    next_.reserve(params_.population_size);
-    next_points_.reserve(params_.population_size);
-    next_violations_.reserve(params_.population_size);
+        [&](std::size_t i) { initial[i] = ops_.evaluate(genomes_[i]); });
+    count_evaluations(mu);
+    m_ = initial.front().objectives.size();
+    objectives_.resize(2 * mu * m_);
+    for (std::size_t i = 0; i < mu; ++i) store(i, initial[i]);
+    ranking_.rank(objectives_.data(), mu, m_, violations_.data());
   }
 
   bool done() const noexcept { return generation_ >= params_.generations; }
-  const std::vector<Objectives>& points() const noexcept { return points_; }
 
-  /// Evolve one generation: rank, telemetry/hook, serial variation
-  /// pipelined with parallel evaluation, (mu + lambda) survivor selection.
+  /// Evolve one generation: telemetry/hook, serial variation pipelined with
+  /// parallel evaluation, (mu + lambda) survivor selection, which also
+  /// ranks the survivors for the next generation.
   void advance() {
     if (done()) {
       throw std::logic_error("Nsga2Engine::advance: already finished");
     }
-    auto& population = result_.population;
-    const std::size_t gen = generation_;
-
+    const std::size_t mu = params_.population_size;
     const util::TraceSpan gen_span("nsga2.generation");
     generations_metric().add();
 
-    const RankCrowding rc = rank_and_crowding(points_, violations_);
-
     // Per-generation convergence telemetry from already-computed data. Pure
     // reads — never feeds back into selection or the RNG.
+    const std::vector<std::size_t>& rank = ranking_.ranks();
+    const std::vector<double>& crowding = ranking_.crowding();
     const detail::FrontStats front = detail::report_progress(
-        params_.on_generation, gen, params_.generations, result_.evaluations,
-        points_, violations_, rc.rank);
+        params_.on_generation, generation_, params_.generations, evaluations_,
+        objectives_.data(), m_, violations_.data(), rank.data(), mu);
     front_size_metric().set(static_cast<double>(front.size));
     hv_proxy_metric().set(front.hv_proxy);
     if (util::trace_enabled()) {
@@ -297,59 +318,67 @@ class Nsga2Engine {
     }
 
     auto better = [&](std::size_t a, std::size_t b) {
-      if (rc.rank[a] != rc.rank[b]) return rc.rank[a] < rc.rank[b];
-      return rc.crowding[a] > rc.crowding[b];
+      if (rank[a] != rank[b]) return rank[a] < rank[b];
+      return crowding[a] > crowding[b];
     };
 
     // Variation (lambda = mu), serial and RNG-ordered, one pair per
-    // producer call; each pair is evaluated while the next is made. Parents
-    // are copied only when no crossover makes fresh children from them, and
-    // (mu + lambda) elitist survival runs over the combined arrays after.
-    const std::size_t lambda = params_.population_size;
-    detail::evaluate_append(
-        ops_, lambda,
-        [&](std::vector<Genome>& slots, std::size_t ready) {
-          const std::size_t pa = tournament_select(
-              params_.population_size, params_.tournament_k, rng_, better);
-          const std::size_t pb = tournament_select(
-              params_.population_size, params_.tournament_k, rng_, better);
-          Genome ca;
-          Genome cb;
+    // producer call, written into the offspring slots mu .. 2 mu - 1; each
+    // pair is evaluated while the next is made. An odd lambda's last pair
+    // makes its second child too (the RNG stream counts it) and drops it.
+    const std::size_t lambda = mu;
+    util::stream_for(
+        lambda,
+        [&](std::size_t ready) {
+          const std::size_t pa =
+              tournament_select(mu, params_.tournament_k, rng_, better);
+          const std::size_t pb =
+              tournament_select(mu, params_.tournament_k, rng_, better);
+          Genome& ca = genomes_[mu + ready];
+          Genome& cb = ready + 1 < lambda ? genomes_[mu + ready + 1] : spare_;
           if (rng_.bernoulli(params_.crossover_prob)) {
-            std::tie(ca, cb) = ops_.crossover(population[pa].genome,
-                                              population[pb].genome, rng_);
+            ops_.crossover(genomes_[pa], genomes_[pb], ca, cb, rng_);
           } else {
-            ca = population[pa].genome;
-            cb = population[pb].genome;
+            ca = genomes_[pa];
+            cb = genomes_[pb];
           }
           if (rng_.bernoulli(params_.mutation_prob)) ops_.mutate(ca, rng_);
           if (rng_.bernoulli(params_.mutation_prob)) ops_.mutate(cb, rng_);
-          slots[ready] = std::move(ca);
-          if (ready + 1 == lambda) return lambda;
-          slots[ready + 1] = std::move(cb);
-          return ready + 2;
+          return std::min(ready + 2, lambda);
         },
-        population, points_, violations_, result_.evaluations);
-    select_survivors();
+        [&](std::size_t i) { store(mu + i, ops_.evaluate(genomes_[mu + i])); });
+    count_evaluations(lambda);
+
+    ranking_.select(objectives_.data(), mu + lambda, m_, violations_.data(),
+                    mu);
+    gather_survivors();
     ++generation_;
   }
 
   /// Final front extraction + the final progress snapshot. Call exactly once,
   /// after the last advance(); the engine is consumed.
   Nsga2Result<Genome> finish() {
-    const auto fronts = non_dominated_sort(points_, violations_);
-    result_.front =
-        fronts.empty() ? std::vector<std::size_t>{} : fronts.front();
+    const std::size_t mu = params_.population_size;
+    const std::vector<std::size_t>& rank = ranking_.ranks();
+    Nsga2Result<Genome> result;
+    result.evaluations = evaluations_;
+    result.population.reserve(mu);
+    for (std::size_t s = 0; s < mu; ++s) {
+      const double* row = objectives_.data() + s * m_;
+      result.population.push_back(
+          {std::move(genomes_[s]),
+           Evaluation{Objectives(row, row + m_), violations_[s]}});
+      if (rank[s] == 0) result.front.push_back(s);
+    }
     if (params_.on_generation) {
       // Final snapshot after the last survivor selection, so observers
       // always see generation == generations exactly once per completed run.
-      std::vector<std::size_t> rank(points_.size(), 1);
-      for (std::size_t i : result_.front) rank[i] = 0;
       detail::report_progress(params_.on_generation, params_.generations,
-                              params_.generations, result_.evaluations,
-                              points_, violations_, rank);
+                              params_.generations, evaluations_,
+                              objectives_.data(), m_, violations_.data(),
+                              rank.data(), mu);
     }
-    return std::move(result_);
+    return result;
   }
 
  private:
@@ -368,36 +397,78 @@ class Nsga2Engine {
     return metric;
   }
 
-  void select_survivors() {
-    auto& population = result_.population;
-    const std::vector<std::size_t> keep =
-        survivor_selection(points_, violations_, params_.population_size);
-    next_.clear();
-    next_points_.clear();
-    next_violations_.clear();
-    for (std::size_t i : keep) {
-      next_.push_back(std::move(population[i]));
-      next_points_.push_back(std::move(points_[i]));
-      next_violations_.push_back(violations_[i]);
+  void count_evaluations(std::size_t count) {
+    evaluations_ += count;
+    // Registry lookup once per process; per batch it's one striped add.
+    static util::Counter& evals_metric =
+        util::metric_counter("nsga2.evaluations");
+    evals_metric.add(count);
+  }
+
+  /// Slot i's objective row and violation. Runs on the evaluating thread,
+  /// which also frees `eval`'s vector, and touches only slot i's storage.
+  void store(std::size_t i, const Evaluation& eval) {
+    if (eval.objectives.size() != m_ || m_ == 0) {
+      throw std::invalid_argument(
+          "Nsga2Engine: every evaluation must return the same, non-zero "
+          "number of objectives");
     }
-    population.swap(next_);
-    points_.swap(next_points_);
-    violations_.swap(next_violations_);
+    std::copy(eval.objectives.begin(), eval.objectives.end(),
+              objectives_.begin() + static_cast<std::ptrdiff_t>(i * m_));
+    violations_[i] = eval.violation;
+  }
+
+  /// Move the survivors to slots 0 .. mu - 1, in survivor order, by
+  /// following the permutation's cycles with swaps; the dropped members
+  /// take the offspring slots, whose storage the next variation reuses.
+  void gather_survivors() {
+    const std::size_t mu = params_.population_size;
+    const std::size_t slots = 2 * mu;
+    const std::vector<std::size_t>& keep = ranking_.survivors();
+    source_.resize(slots);
+    moved_.assign(slots, 0);
+    for (std::size_t s = 0; s < mu; ++s) {
+      source_[s] = keep[s];
+      moved_[keep[s]] = 1;
+    }
+    for (std::size_t i = 0, next = mu; i < slots; ++i) {
+      if (!moved_[i]) source_[next++] = i;
+    }
+    std::fill(moved_.begin(), moved_.end(), 0);
+    for (std::size_t start = 0; start < slots; ++start) {
+      for (std::size_t at = start; !moved_[at]; at = source_[at]) {
+        moved_[at] = 1;
+        if (source_[at] == start) break;
+        swap_slots(at, source_[at]);
+      }
+    }
+  }
+
+  void swap_slots(std::size_t a, std::size_t b) {
+    using std::swap;
+    swap(genomes_[a], genomes_[b]);
+    double* row_a = objectives_.data() + a * m_;
+    std::swap_ranges(row_a, row_a + m_, objectives_.data() + b * m_);
+    swap(violations_[a], violations_[b]);
   }
 
   Nsga2Params params_;
   const Nsga2Ops<Genome>& ops_;
   util::Rng& rng_;
   std::size_t generation_ = 0;
+  std::size_t evaluations_ = 0;
 
-  Nsga2Result<Genome> result_;
-  std::vector<Objectives> points_;
+  // The 2 mu slots: the population in 0 .. mu - 1, offspring after it.
+  std::vector<Genome> genomes_;
+  std::size_t m_ = 0;
+  std::vector<double> objectives_;  ///< slot i's row: [i * m_, i * m_ + m_)
   std::vector<double> violations_;
+  Genome spare_;  ///< an odd lambda's dropped second child
+  PopulationRanking ranking_;
 
-  // Scratch buffers for survivor selection, reused across generations.
-  std::vector<EvaluatedGenome<Genome>> next_;
-  std::vector<Objectives> next_points_;
-  std::vector<double> next_violations_;
+  // Scratch for gather_survivors(), reused across generations.
+  std::vector<std::size_t> source_;
+  std::vector<unsigned char> moved_;
 };
 
 /// Run NSGA-II to the end: one engine, advanced generation by generation

@@ -41,19 +41,23 @@ Permutation random_permutation(std::size_t n, util::Rng& rng) {
   return p;
 }
 
-std::pair<Permutation, Permutation> order_crossover(const Permutation& a,
-                                                    const Permutation& b,
-                                                    util::Rng& rng) {
+void order_crossover(const Permutation& a, const Permutation& b,
+                     Permutation& child_a, Permutation& child_b,
+                     util::Rng& rng) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("order_crossover: size mismatch");
   }
   const std::size_t n = a.size();
-  if (n < 2) return {a, b};
+  if (n < 2) {
+    child_a = a;
+    child_b = b;
+    return;
+  }
 
   const std::size_t cut = 1 + rng.index(n - 1);  // at least one element each side
 
-  auto make_child = [n, cut](const Permutation& head, const Permutation& tail) {
-    Permutation child;
+  auto make_child = [n, cut](const Permutation& head, const Permutation& tail,
+                             Permutation& child) {
     child.reserve(n);
     child.assign(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(cut));
     std::vector<std::uint64_t>& used = cleared_bits(n);
@@ -61,9 +65,9 @@ std::pair<Permutation, Permutation> order_crossover(const Permutation& a,
     for (std::size_t v : tail) {
       if (!test_and_set(used, v)) child.push_back(v);
     }
-    return child;
   };
-  return {make_child(a, b), make_child(b, a)};
+  make_child(a, b, child_a);
+  make_child(b, a, child_b);
 }
 
 void swap_mutation(Permutation& p, util::Rng& rng) {

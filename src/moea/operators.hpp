@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -29,11 +28,12 @@ Permutation random_permutation(std::size_t n, util::Rng& rng);
 
 /// Single-point *order* crossover for permutations: the child keeps parent
 /// A's prefix up to a random cut and appends the missing elements in parent
-/// B's relative order. Always yields a valid permutation. Returns both
-/// children (A-prefix and B-prefix variants).
-std::pair<Permutation, Permutation> order_crossover(const Permutation& a,
-                                                    const Permutation& b,
-                                                    util::Rng& rng);
+/// B's relative order. Always yields a valid permutation. Overwrites both
+/// children (A-prefix and B-prefix variants), reusing their storage; they
+/// must not alias a parent.
+void order_crossover(const Permutation& a, const Permutation& b,
+                     Permutation& child_a, Permutation& child_b,
+                     util::Rng& rng);
 
 /// Swap two random positions in place (the paper's two-point scheduling
 /// mutation: exchanging the position of two sub-sequences).

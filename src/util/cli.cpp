@@ -59,18 +59,18 @@ void ArgParser::parse(const std::vector<std::string>& args) {
     }
     const auto it = specs_.find(name);
     if (it == specs_.end()) {
-      throw std::invalid_argument("unknown option --" + name);
+      throw UsageError("unknown option --" + name, help());
     }
     if (it->second.is_flag) {
       if (has_inline_value) {
-        throw std::invalid_argument("flag --" + name + " takes no value");
+        throw UsageError("flag --" + name + " takes no value", help());
       }
       values_[name] = "true";
       continue;
     }
     if (!has_inline_value) {
       if (i + 1 >= args.size()) {
-        throw std::invalid_argument("option --" + name + " needs a value");
+        throw UsageError("option --" + name + " needs a value", help());
       }
       value = args[++i];
     }
@@ -110,8 +110,8 @@ double ArgParser::get_number(const std::string& name) const {
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc{} || ptr != end || text.empty()) {
-    throw std::invalid_argument("option --" + name + ": '" + text +
-                                "' is not a number");
+    throw UsageError("option --" + name + ": '" + text + "' is not a number",
+                     help());
   }
   return value;
 }
@@ -122,8 +122,8 @@ std::uint64_t ArgParser::get_uint(const std::string& name) const {
   // Range-checked before the cast (casting NaN, infinities or values
   // >= 2^64 is undefined), and written so NaN fails the range test too.
   if (!(value >= 0.0 && value < kTwoPow64) || std::trunc(value) != value) {
-    throw std::invalid_argument("option --" + name +
-                                " must be a non-negative integer");
+    throw UsageError("option --" + name + " must be a non-negative integer",
+                     help());
   }
   return static_cast<std::uint64_t>(value);
 }

@@ -6,12 +6,29 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <utility>
 
 #include "util/log.hpp"
 
 namespace clrearly::util {
+
+/// A malformed command line: an unknown option, a missing value, a flag
+/// given a value, or a value its option's accessor cannot parse. Carries
+/// the usage text of the parser that rejected it; `main` prints both and
+/// exits 2, as for any other usage error.
+class UsageError : public std::invalid_argument {
+ public:
+  UsageError(const std::string& message, std::string usage)
+      : std::invalid_argument(message), usage_(std::move(usage)) {}
+  const std::string& usage() const noexcept { return usage_; }
+
+ private:
+  std::string usage_;
+};
 
 class ArgParser {
  public:
@@ -25,14 +42,16 @@ class ArgParser {
                     const std::string& default_value);
 
   /// Parse `args` (argv[1:]; the program name must not be included).
-  /// Throws std::invalid_argument on unknown options, missing values or a
-  /// flag given a value. "--" ends option parsing; the rest are positionals.
+  /// Throws UsageError on unknown options, missing values or a flag given a
+  /// value. "--" ends option parsing; the rest are positionals.
   void parse(const std::vector<std::string>& args);
 
   /// True when a declared flag was present (or an option explicitly set).
   bool has(const std::string& name) const;
 
-  /// Value of an option (explicit or default); throws for unknown names.
+  /// Value of an option (explicit or default); throws
+  /// std::invalid_argument for undeclared names. The typed accessors throw
+  /// UsageError for a value that is not a number / a non-negative integer.
   const std::string& get(const std::string& name) const;
   double get_number(const std::string& name) const;
   std::uint64_t get_uint(const std::string& name) const;

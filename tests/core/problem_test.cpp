@@ -269,7 +269,9 @@ TEST_F(ProblemFixture, OpsCallbacksAreCoherent) {
   MappingGenome a = ops.create(rng);
   MappingGenome b = ops.create(rng);
   EXPECT_NO_THROW(problem.layout().validate(a));
-  auto [ca, cb] = ops.crossover(a, b, rng);
+  MappingGenome ca;
+  MappingGenome cb;
+  ops.crossover(a, b, ca, cb, rng);
   EXPECT_NO_THROW(problem.layout().validate(ca));
   ops.mutate(ca, rng);
   EXPECT_NO_THROW(problem.layout().validate(ca));

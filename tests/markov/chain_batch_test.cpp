@@ -10,8 +10,7 @@
 //    builder's Q / R / residence bit for bit.
 // Plus workspace reuse across sizes, no per-chain heap allocation on a warm
 // batch call (counted by this binary's own operator new), the bounded
-// shrink policy, and a concurrent-batch TSan shard (test names stay under
-// ChainBatch* so the CI TSan and ASan regexes find them).
+// shrink policy, and a concurrent-batch TSan shard.
 #include "markov/chain_batch.hpp"
 
 #include <gtest/gtest.h>

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "moea/hypervolume.hpp"
 
@@ -21,11 +25,12 @@ Nsga2Ops<RealGenome> real_ops(
     for (double& x : g) x = rng.uniform();
     return g;
   };
-  ops.crossover = [](const RealGenome& a, const RealGenome& b, util::Rng& rng) {
-    RealGenome ca = a, cb = b;
+  ops.crossover = [](const RealGenome& a, const RealGenome& b, RealGenome& ca,
+                     RealGenome& cb, util::Rng& rng) {
+    ca = a;
+    cb = b;
     const std::size_t cut = rng.index(a.size() + 1);
     for (std::size_t i = cut; i < a.size(); ++i) std::swap(ca[i], cb[i]);
-    return std::make_pair(ca, cb);
   };
   ops.mutate = [](RealGenome& g, util::Rng& rng) {
     g[rng.index(g.size())] = rng.uniform();
@@ -262,6 +267,187 @@ TEST(SurvivorSelectionTest, PartialFrontPrefersSpread) {
   for (std::size_t i : keep) {
     EXPECT_NE(i, 1u);
   }
+}
+
+// --- Rank once: selection hands back the survivors' ranking ----------------------
+
+struct Pool {
+  std::vector<Objectives> points;
+  std::vector<double> violations;
+};
+
+// GA-shaped pools: a few staircase layers on a coarse grid (m = 2 or 3),
+// about 35% duplicated members, a few infeasible ones on shared levels
+// (NaN included) and -0.0 violations, which are feasible. No NaN or
+// infinite objective, so every crowding distance compares with ==.
+Pool ga_like_pool(util::Rng& rng, std::size_t n, std::size_t m) {
+  const double levels[] = {0.0,  0.0,  0.0, 0.0, 0.0,
+                           -0.0, 0.25, 0.5, 0.5, std::nan("")};
+  Pool pool;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.bernoulli(0.35)) {
+      const std::size_t j = rng.index(i);
+      pool.points.push_back(pool.points[j]);
+      pool.violations.push_back(pool.violations[j]);
+      continue;
+    }
+    Objectives p(m);
+    double sum = 0.0;
+    for (std::size_t k = 0; k + 1 < m; ++k) {
+      p[k] = std::floor(rng.uniform(0.0, 8.0));
+      sum += p[k];
+    }
+    p[m - 1] = 8.0 * static_cast<double>(m - 1) - sum +
+               std::floor(rng.uniform(0.0, 3.0));
+    pool.points.push_back(p);
+    pool.violations.push_back(levels[rng.index(std::size(levels))]);
+  }
+  return pool;
+}
+
+bool same_member(const Pool& pool, std::size_t a, std::size_t b) {
+  const double va = pool.violations[a];
+  const double vb = pool.violations[b];
+  return pool.points[a] == pool.points[b] &&
+         (va == vb || (std::isnan(va) && std::isnan(vb)));
+}
+
+TEST(PopulationRankingTest, SelectionRanksSurvivorsLikeAFreshSort) {
+  // select() hands back the survivors' ranks and crowding; they must equal
+  // a fresh rank_and_crowding of the survivors in survivor order, value
+  // for value. Every kind of cut is counted, so a generator change that
+  // stops reaching one fails here.
+  enum Case { kInFront0, kLaterFront, kInfeasibleFront, kExactFill,
+              kDuplicateStraddles, kCases };
+  util::Rng rng(17);
+  PopulationRanking ranking;  // reused, as the engine reuses it
+  for (std::size_t m : {2u, 3u}) {
+    std::size_t seen[kCases] = {};
+    for (int trial = 0; trial < 500; ++trial) {
+      const std::size_t n = 2 + rng.index(199);
+      const std::size_t target = 1 + rng.index(n);
+      const Pool pool = ga_like_pool(rng, n, m);
+      std::size_t width = 0;
+      const std::vector<double> rows = flatten_objectives(pool.points, width);
+      ranking.select(rows.data(), n, m, pool.violations.data(), target);
+      const std::vector<std::size_t>& keep = ranking.survivors();
+      ASSERT_EQ(keep.size(), target);
+
+      Pool survivors;
+      std::vector<bool> kept(n, false);
+      for (std::size_t i : keep) {
+        survivors.points.push_back(pool.points[i]);
+        survivors.violations.push_back(pool.violations[i]);
+        kept[i] = true;
+      }
+      const RankCrowding fresh =
+          rank_and_crowding(survivors.points, survivors.violations);
+      ASSERT_EQ(ranking.ranks(), fresh.rank) << "m=" << m << " trial " << trial;
+      ASSERT_EQ(ranking.crowding(), fresh.crowding)
+          << "m=" << m << " trial " << trial;
+
+      // The kept set: the fronts before the cut whole, none after it, and
+      // no dropped member of the cut front more crowded-out than a kept one.
+      const auto fronts = non_dominated_sort(pool.points, pool.violations);
+      std::size_t filled = 0;
+      std::size_t cut = 0;
+      while (filled + fronts[cut].size() < target) {
+        filled += fronts[cut++].size();
+      }
+      for (std::size_t f = 0; f < fronts.size(); ++f) {
+        if (f == cut) continue;
+        for (std::size_t i : fronts[f]) {
+          ASSERT_EQ(kept[i], f < cut) << "trial " << trial;
+        }
+      }
+      const std::vector<double> spread =
+          crowding_distance(pool.points, fronts[cut]);
+      double kept_least = std::numeric_limits<double>::infinity();
+      double dropped_most = -std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < spread.size(); ++i) {
+        if (kept[fronts[cut][i]]) {
+          kept_least = std::min(kept_least, spread[i]);
+        } else {
+          dropped_most = std::max(dropped_most, spread[i]);
+        }
+      }
+      ASSERT_GE(kept_least, dropped_most) << "m=" << m << " trial " << trial;
+      if (filled + fronts[cut].size() == target) {
+        ++seen[kExactFill];
+        continue;
+      }
+      ++seen[cut == 0 ? kInFront0 : kLaterFront];
+      if (!is_feasible(pool.violations[fronts[cut][0]])) {
+        ++seen[kInfeasibleFront];
+      }
+      for (std::size_t a = 0; a < n; ++a) {
+        for (std::size_t b = 0; b < n; ++b) {
+          if (kept[a] && !kept[b] && same_member(pool, a, b)) {
+            ++seen[kDuplicateStraddles];
+            a = n;
+            break;
+          }
+        }
+      }
+    }
+    for (int c = 0; c < kCases; ++c) {
+      EXPECT_GT(seen[c], 0u) << "m=" << m << " case " << c;
+    }
+  }
+}
+
+TEST(Nsga2Test, FinalFrontIsAFreshSortsFirstFront) {
+  // The engine never re-sorts a population: the reported front comes from
+  // the last selection's ranks. It must still be exactly the first front of
+  // a fresh sort of the final population, constrained runs included.
+  auto eval = [](const RealGenome& x) {
+    Evaluation e;
+    e.objectives = {std::round(x[0] * 8.0), std::round(x[1] * 8.0)};
+    e.violation = std::max(0.0, 0.6 - (x[0] + x[1]));
+    return e;
+  };
+  for (std::size_t pop : {7u, 20u}) {
+    Nsga2Params params;
+    params.population_size = pop;
+    params.generations = 12;
+    util::Rng rng(pop);
+    const auto result = run_nsga2(params, real_ops(3, eval), rng);
+    std::vector<Objectives> points;
+    std::vector<double> violations;
+    for (const auto& member : result.population) {
+      points.push_back(member.eval.objectives);
+      violations.push_back(member.eval.violation);
+    }
+    EXPECT_EQ(result.front, non_dominated_sort(points, violations).front())
+        << "population " << pop;
+  }
+}
+
+TEST(SurvivorSelectionTest, DominanceCycleStillFillsThePopulation) {
+  // With NaN objectives dominance can cycle: a dominates b, b dominates c
+  // and c dominates a (NaN compares neither lower nor higher). d dominates
+  // all three, so the peel lists d alone and never releases the cycle.
+  // Selection fills the places left by index, and both rankings put the
+  // unlisted points one past the last front.
+  const double nan = std::nan("");
+  const std::vector<Objectives> points = {
+      {0.0, nan, 1.0}, {1.0, 0.0, nan}, {nan, 1.0, 0.0}, {-1.0, -1.0, -1.0}};
+  const std::vector<double> violations(points.size(), 0.0);
+  ASSERT_EQ(non_dominated_sort(points, violations),
+            (std::vector<std::vector<std::size_t>>{{3}}));
+  EXPECT_EQ(survivor_selection(points, violations, 3),
+            (std::vector<std::size_t>{3, 0, 1}));
+  const RankCrowding ranking = rank_and_crowding(points, violations);
+  EXPECT_EQ(ranking.rank, (std::vector<std::size_t>{1, 1, 1, 0}));
+  EXPECT_EQ(ranking.crowding,
+            (std::vector<double>{0.0, 0.0, 0.0,
+                                 std::numeric_limits<double>::infinity()}));
+
+  PopulationRanking select;
+  std::size_t m = 0;
+  const std::vector<double> rows = flatten_objectives(points, m);
+  select.select(rows.data(), points.size(), m, violations.data(), 3);
+  EXPECT_EQ(select.ranks(), (std::vector<std::size_t>{0, 1, 1}));
 }
 
 TEST(SurvivorSelectionTest, TargetLargerThanPoolThrows) {

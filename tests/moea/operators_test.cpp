@@ -33,10 +33,13 @@ class OrderCrossoverTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(OrderCrossoverTest, ChildrenAreValidPermutations) {
   const std::size_t n = GetParam();
   util::Rng rng(n);
+  // The children are reused across trials: each call overwrites them.
+  Permutation ca;
+  Permutation cb;
   for (int trial = 0; trial < 50; ++trial) {
     const Permutation a = random_permutation(n, rng);
     const Permutation b = random_permutation(n, rng);
-    const auto [ca, cb] = order_crossover(a, b, rng);
+    order_crossover(a, b, ca, cb, rng);
     EXPECT_TRUE(is_permutation(ca));
     EXPECT_TRUE(is_permutation(cb));
     EXPECT_EQ(ca.size(), n);
@@ -52,21 +55,28 @@ TEST(OrderCrossoverTest, ChildKeepsParentPrefix) {
   const Permutation a{0, 1};
   const Permutation b{1, 0};
   util::Rng rng(5);
-  const auto [ca, cb] = order_crossover(a, b, rng);
+  Permutation ca;
+  Permutation cb;
+  order_crossover(a, b, ca, cb, rng);
   EXPECT_EQ(ca[0], 0u);
   EXPECT_EQ(cb[0], 1u);
 }
 
 TEST(OrderCrossoverTest, TrivialSizesPassThrough) {
   util::Rng rng(6);
-  const auto [ca, cb] = order_crossover({0}, {0}, rng);
+  Permutation ca{7, 8};
+  Permutation cb;
+  order_crossover({0}, {0}, ca, cb, rng);
   EXPECT_EQ(ca, Permutation{0});
   EXPECT_EQ(cb, Permutation{0});
 }
 
 TEST(OrderCrossoverTest, SizeMismatchThrows) {
   util::Rng rng(7);
-  EXPECT_THROW(order_crossover({0, 1}, {0, 1, 2}, rng), std::invalid_argument);
+  Permutation ca;
+  Permutation cb;
+  EXPECT_THROW(order_crossover({0, 1}, {0, 1, 2}, ca, cb, rng),
+               std::invalid_argument);
 }
 
 TEST(SwapMutationTest, SwapsExactlyTwoPositions) {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -272,6 +273,94 @@ TEST(NonDominatedSortTest, MatchesPairLoopOracleOnDegeneratePopulations) {
     EXPECT_EQ(pareto_front_indices(cases[c].points),
               oracle_first_front(cases[c].points))
         << "case " << c;
+  }
+}
+
+// GA-shaped two-objective pools without NaN objectives, which the random
+// populations above rarely are: a coarse grid with signed zeros and
+// infinities, about 35% duplicated members and, when constrained,
+// violation levels that include -0.0 (feasible) and NaN.
+Population grid_population_2d(util::Rng& rng, std::size_t n,
+                              bool constrained) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double grid[] = {-inf, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0, 4.0, inf};
+  Population pop;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.bernoulli(0.35)) {
+      pop.points.push_back(pop.points[rng.index(i)]);
+      continue;
+    }
+    pop.points.push_back({grid[rng.index(std::size(grid))],
+                          grid[rng.index(std::size(grid))]});
+  }
+  if (constrained) {
+    const double levels[] = {0.0, -0.0, 0.0, -1.0, 0.0,
+                             0.25, 0.5, 0.5, inf, std::nan("")};
+    for (std::size_t i = 0; i < n; ++i) {
+      pop.violations.push_back(levels[rng.index(std::size(levels))]);
+    }
+  }
+  return pop;
+}
+
+TEST(NonDominatedSortTest, TwoObjectiveGridMatchesPairLoopOracle) {
+  util::Rng rng(29);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = rng.index(301);
+    const bool constrained = trial % 2 == 1;
+    const Population pop = grid_population_2d(rng, n, constrained);
+    ASSERT_EQ(non_dominated_sort(pop.points, pop.violations),
+              pair_loop_sort(pop.points, pop.violations))
+        << "trial " << trial << " n=" << n;
+  }
+}
+
+// Each member's lead as the pair-loop peel defines it: the largest position
+// in the previous front of a point that dominates it.
+std::vector<std::vector<std::size_t>> pair_loop_leads(const Population& pop) {
+  const auto fronts = pair_loop_sort(pop.points, pop.violations);
+  auto dom = [&](std::size_t i, std::size_t j) {
+    return pop.violations.empty()
+               ? dominates(pop.points[i], pop.points[j])
+               : constrained_dominates(pop.points[i], pop.violations[i],
+                                       pop.points[j], pop.violations[j]);
+  };
+  std::vector<std::vector<std::size_t>> leads;
+  for (std::size_t f = 0; f < fronts.size(); ++f) {
+    leads.emplace_back(fronts[f].size(), 0);
+    if (f == 0) continue;
+    for (std::size_t i = 0; i < fronts[f].size(); ++i) {
+      for (std::size_t p = 0; p < fronts[f - 1].size(); ++p) {
+        if (dom(fronts[f - 1][p], fronts[f][i])) leads[f][i] = p;
+      }
+    }
+  }
+  return leads;
+}
+
+TEST(ParetoRankerTest, LeadsMatchThePairLoopPeel) {
+  // NaN-free two-objective grids, and random populations of two or three
+  // objectives that hold NaN objectives.
+  util::Rng rng(31);
+  ParetoRanker ranker;  // reused: every call overwrites the last
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = rng.index(160);
+    const bool constrained = trial % 2 == 1;
+    const Population pop =
+        trial % 3 == 0 ? grid_population_2d(rng, n, constrained)
+                       : random_population(rng, n, trial % 3 + 1, constrained);
+    std::size_t m = 0;
+    const std::vector<double> rows = flatten_objectives(pop.points, m);
+    ranker.sort(rows.data(), n, m,
+                constrained ? pop.violations.data() : nullptr);
+    const auto expected = pair_loop_leads(pop);
+    ASSERT_EQ(ranker.front_count(), expected.size()) << "trial " << trial;
+    for (std::size_t f = 0; f < expected.size(); ++f) {
+      const std::span<const std::size_t> leads = ranker.leads(f);
+      EXPECT_EQ(std::vector<std::size_t>(leads.begin(), leads.end()),
+                expected[f])
+          << "trial " << trial << " front " << f;
+    }
   }
 }
 

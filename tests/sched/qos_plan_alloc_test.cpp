@@ -2,10 +2,10 @@
 // operator new. At the default cache capacity, a warm
 // ClrMappingProblem::evaluate decodes into the thread's QoS workspace and
 // scores it with the problem's plan, so its one allocation is the returned
-// objectives vector; warm variation allocates only the children it returns.
+// objectives vector; warm variation allocates nothing, and a warm NSGA-II
+// generation allocates little beyond its evaluations.
 // Own binary, because the replaced operator new would count every other
-// test's allocations too; the suite is named QosPlan* so the CI sanitizer
-// regexes run it.
+// test's allocations too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,8 +18,10 @@
 #include "app/characterizer.hpp"
 #include "core/experiment.hpp"
 #include "core/problem.hpp"
+#include "moea/nsga2.hpp"
 #include "platform/architecture.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -72,11 +74,12 @@ TEST(QosPlanAllocationTest, WarmEvaluateAllocatesOnlyItsObjectives) {
   }
 }
 
-TEST(QosPlanAllocationTest, WarmCrossoverAndMutationAllocateOnlyTheChildren) {
-  // GenomeLayout::crossover validates both parents and returns two fresh
-  // children: either branch allocates their four vectors (orders and genes)
-  // and nothing else, and mutation validates and edits in place. The
-  // permutation checks and the order crossover reuse a per-thread bit set.
+TEST(QosPlanAllocationTest, WarmCrossoverAndMutationAllocateNothing) {
+  // GenomeLayout::crossover validates both parents and overwrites the two
+  // children in their existing storage: once the children have held a
+  // genome of this size, either branch allocates nothing, and mutation
+  // validates and edits in place. The permutation checks and the order
+  // crossover reuse a per-thread bit set.
   const ClrMappingProblem problem(
       app::make_synthetic_application(100, 10, 7),
       platform::Architecture::paper_default(), bench_system_analyzer(),
@@ -85,21 +88,56 @@ TEST(QosPlanAllocationTest, WarmCrossoverAndMutationAllocateOnlyTheChildren) {
   util::Rng rng(5);
   MappingGenome a = layout.random(rng);
   MappingGenome b = layout.random(rng);
-  (void)layout.crossover(a, b, rng);  // grow the thread's bit set
+  MappingGenome ca;
+  MappingGenome cb;
+  // Warm: the children's storage and the thread's bit set.
+  layout.crossover(a, b, ca, cb, rng);
+  layout.crossover(a, b, ca, cb, rng);
 
   for (int i = 0; i < 32; ++i) {
     const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
-    std::pair<MappingGenome, MappingGenome> children =
-        layout.crossover(a, b, rng);
+    layout.crossover(a, b, ca, cb, rng);
     const std::uint64_t crossed = g_allocations.load(std::memory_order_relaxed);
-    layout.mutate(children.first, rng, 0.05);
-    layout.mutate(children.second, rng, 0.05);
+    layout.mutate(ca, rng, 0.05);
+    layout.mutate(cb, rng, 0.05);
     const std::uint64_t mutated = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(crossed - before, 4u) << "crossover " << i;
+    EXPECT_EQ(crossed - before, 0u) << "crossover " << i;
     EXPECT_EQ(mutated - crossed, 0u) << "mutation " << i;
-    a = std::move(children.first);
-    b = std::move(children.second);
+    std::swap(a, ca);
+    std::swap(b, cb);
   }
+}
+
+TEST(QosPlanAllocationTest, WarmGenerationAllocatesOnlyTheEvaluations) {
+  // One warm Nsga2Engine::advance at one thread: variation writes into the
+  // engine's offspring slots, ranking reuses its buffers and the survivors
+  // move by swaps, so what allocates is each evaluation's objectives vector
+  // (lambda = 100 of them) and the pool call's fixed few. A per-member
+  // allocation anywhere else adds at least another 100.
+  util::set_thread_count(1);
+  sched::QosSpec spec;
+  spec.min_functional_rel = 0.99;
+  const ClrMappingProblem problem(
+      app::make_synthetic_application(100, 10, 7),
+      platform::Architecture::paper_default(), bench_system_analyzer(),
+      SystemObjectives{}, spec);
+  const auto ops = problem.ops(0.05);
+  moea::Nsga2Params params;
+  params.population_size = 100;
+  params.generations = 1000;
+  util::Rng rng(3);
+  moea::Nsga2Engine<MappingGenome> engine(params, ops, rng);
+  for (int g = 0; g < 3; ++g) engine.advance();  // warm every slot
+
+  for (int g = 0; g < 5; ++g) {
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    engine.advance();
+    const std::uint64_t allocs =
+        g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_GE(allocs, params.population_size) << "generation " << g;
+    EXPECT_LT(allocs, params.population_size + 50) << "generation " << g;
+  }
+  util::set_thread_count(0);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 //  * ClrMappingProblem::evaluate equals the oracle fitness of decode(),
 //    also when pool threads evaluate concurrently (each on its own
 //    thread-local workspace, all on the problem's one plan).
-// Suites are named QosPlan* so the CI sanitizer regexes find them.
 #include "sched/qos.hpp"
 
 #include <gtest/gtest.h>

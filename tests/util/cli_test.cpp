@@ -68,6 +68,37 @@ TEST(ArgParserTest, Errors) {
   EXPECT_THROW(p.get("nonexistent"), std::invalid_argument);
 }
 
+TEST(ArgParserTest, MalformedCommandLinesAreUsageErrors) {
+  // Bad names and bad values alike throw UsageError with the parser's
+  // usage text, so `main` maps both to the same exit status; asking for
+  // an undeclared option is a programming error, not a usage error.
+  ArgParser p = make_parser();
+  auto expect_usage_error = [&](auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "no UsageError";
+    } catch (const UsageError& error) {
+      EXPECT_EQ(error.usage(), p.help());
+    }
+  };
+  expect_usage_error([&] { p.parse({"--unknown"}); });
+  expect_usage_error([&] { p.parse({"--seed"}); });
+  expect_usage_error([&] { p.parse({"--verbose=1"}); });
+  p.parse({"--seed", "abc"});
+  expect_usage_error([&] { (void)p.get_number("seed"); });
+  p.parse({"--seed", "nan"});
+  expect_usage_error([&] { (void)p.get_uint("seed"); });
+  p.parse({"--seed", "-3"});
+  expect_usage_error([&] { (void)p.get_uint("seed"); });
+  try {
+    (void)p.get("nonexistent");
+    ADD_FAILURE() << "no exception";
+  } catch (const UsageError&) {
+    ADD_FAILURE() << "an undeclared name is not a usage error";
+  } catch (const std::invalid_argument&) {
+  }
+}
+
 TEST(ArgParserTest, MalformedNumbersAreRejectedNotTruncated) {
   // std::stod used to accept "1.5abc" (silently dropping the garbage) and
   // leading whitespace; from_chars rejects both, and the empty string.

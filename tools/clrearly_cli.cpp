@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -79,17 +78,12 @@ void declare_common(util::ArgParser& parser) {
 
 /// Parse and apply the common options. Returns false when --help was
 /// requested (the help text has then already been printed; return 0). A
-/// malformed command line (an unknown option, a missing value) is a usage
-/// error: like util::parse_standard_args, print it with the usage and exit 2.
+/// malformed command line — an unknown option, a missing value, or a value
+/// a subcommand later fails to parse — throws util::UsageError, which main
+/// reports with the usage and exit status 2.
 bool apply_common(util::ArgParser& parser,
                   const std::vector<std::string>& args) {
-  try {
-    parser.parse(args);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "error: %s\n\n%s", error.what(),
-                 parser.help().c_str());
-    std::exit(2);
-  }
+  parser.parse(args);
   if (parser.has("help")) {
     std::printf("%s", parser.help().c_str());
     return false;
@@ -715,6 +709,9 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());
     print_usage();
+    return 2;
+  } catch (const util::UsageError& e) {
+    std::fprintf(stderr, "error: %s\n\n%s", e.what(), e.usage().c_str());
     return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
