@@ -27,7 +27,7 @@
 #include "core/experiment.hpp"
 #include "core/tdse.hpp"
 #include "moea/hypervolume.hpp"
-#include "moea/indicators.hpp"
+#include "moea/pareto.hpp"
 #include "platform/architecture.hpp"
 #include "reliability/clr_chain_builder.hpp"
 #include "util/cli.hpp"

@@ -14,8 +14,8 @@
 // bit-identical to the width-1 portable solve of the same chain — at every
 // lane width and on every dispatch path (pinned by chain_batch_test, which
 // CI also runs with the dispatch forced to scalar and to AVX2). This is the
-// only production chain solver; markov::AbsorbingChain is its eager
-// full-inverse reference.
+// only chain solver in the library; its eager full-inverse reference, the
+// test-only oracle::AbsorbingChain, lives in tests/oracle/chain.hpp.
 //
 // Dispatch: the kernel body is a width-templated header
 // (chain_batch_kernel.hpp) instantiated in three translation units — a
@@ -34,6 +34,12 @@
 #include "util/cpu_features.hpp"
 
 namespace clrearly::markov {
+
+/// Relative threshold below which an LU pivot is treated as zero. The
+/// kernel and the test-only reference LU (oracle::LuDecomposition,
+/// tests/oracle/linsolve.hpp) both read it here, so they classify the same
+/// chains as singular.
+inline constexpr double kLuSingularTol = 1e-13;
 
 /// Structure-of-arrays workspace for W same-size chains. All buffers are
 /// lane-major (lane index innermost); configure() reshapes and zeroes the

@@ -10,8 +10,9 @@
 //
 // Bit-identity contract: for every lane l, the sequence of floating-point
 // operations applied to chain l is *exactly* the sequence the width-1
-// instantiation applies — I - Q assembly, a partially pivoted LU in
-// LuDecomposition's loop order, the adjoint solve (I - Q)^T x = e_0 for row
+// instantiation applies — I - Q assembly, a partially pivoted LU in the
+// loop order of the test-only reference LU (oracle::LuDecomposition,
+// tests/oracle/linsolve.hpp), the adjoint solve (I - Q)^T x = e_0 for row
 // 0 of N, the dot/sum/absorption reductions, and (for the second moment) a
 // forward solve t = N r, qt = Q t and the second-moment rhs. Data-dependent
 // skips (`factor == 0.0` in elimination, `x == 0.0` in the absorption
@@ -19,8 +20,8 @@
 // the -0.0 edge cases the skips protect), so lanes never influence each
 // other's arithmetic and the lane loops stay branch-free for the
 // vectorizer. Loop order, pivot tie-breaking (`>` keeps the first maximum)
-// and the singularity tolerance (util::kLuSingularTol) match
-// util::LuDecomposition, so the kernel and the reference AbsorbingChain
+// and the singularity tolerance (kLuSingularTol) match that reference LU,
+// so the kernel and the reference chain solver (tests/oracle/chain.hpp)
 // agree on which chains are singular.
 //
 // A lane whose I - Q is numerically singular is flagged and its arithmetic
@@ -35,7 +36,6 @@
 #include <utility>
 
 #include "markov/chain_batch.hpp"
-#include "util/linsolve.hpp"
 
 namespace clrearly::markov {
 namespace kernel_detail {
@@ -132,7 +132,7 @@ static void batch_kernel(ChainBatch& ws, bool with_second_moment) {
       }
     }
     for (std::size_t l = 0; l < W; ++l) {
-      tol[l] = util::kLuSingularTol * std::max(max_entry[l], 1.0);
+      tol[l] = kLuSingularTol * std::max(max_entry[l], 1.0);
     }
   }
 
@@ -148,7 +148,7 @@ static void batch_kernel(ChainBatch& ws, bool with_second_moment) {
     }
   }
 
-  // ---- LU factorization (partial pivoting, LuDecomposition's loop order).
+  // ---- LU factorization (partial pivoting, the reference LU's loop order).
   for (std::size_t i = 0; i < t; ++i) {
     for (std::size_t l = 0; l < W; ++l) perm[i * W + l] = i;
   }
@@ -189,7 +189,7 @@ static void batch_kernel(ChainBatch& ws, bool with_second_moment) {
       for (std::size_t i = k + 1; i < t; ++i) pivot_probe(i);
     }
     for (std::size_t l = 0; l < W; ++l) {
-      // Where LuDecomposition throws std::domain_error, a lane is flagged
+      // Where the reference LU throws std::domain_error, a lane is flagged
       // and keeps computing garbage that never crosses lanes.
       if (pivot_mag[l] <= tol[l]) ws.singular[l] = 1;
     }

@@ -22,6 +22,34 @@ bool dominates(const Objectives& a, const Objectives& b) {
   return strictly_better;
 }
 
+double coverage(const std::vector<Objectives>& a,
+                const std::vector<Objectives>& b) {
+  if (b.empty()) {
+    throw std::invalid_argument("coverage: empty second set");
+  }
+  std::size_t covered = 0;
+  for (const Objectives& q : b) {
+    for (const Objectives& p : a) {
+      if (p.size() != q.size()) {
+        throw std::invalid_argument("coverage: dimension mismatch");
+      }
+      // Weak domination: p <= q everywhere.
+      bool weakly = true;
+      for (std::size_t i = 0; i < p.size(); ++i) {
+        if (p[i] > q[i]) {
+          weakly = false;
+          break;
+        }
+      }
+      if (weakly) {
+        ++covered;
+        break;
+      }
+    }
+  }
+  return static_cast<double>(covered) / static_cast<double>(b.size());
+}
+
 bool constrained_dominates(const Objectives& a, double violation_a,
                            const Objectives& b, double violation_b) {
   const bool a_feasible = is_feasible(violation_a);

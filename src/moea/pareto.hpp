@@ -24,6 +24,12 @@ constexpr bool is_feasible(double violation) noexcept {
 /// objective. Vectors must be the same length.
 bool dominates(const Objectives& a, const Objectives& b);
 
+/// Two-set coverage C(a, b): fraction of points in `b` weakly dominated by
+/// at least one point of `a`. C(a, b) = 1 means a completely covers b.
+/// Asymmetric: compare both directions. Throws when `b` is empty.
+double coverage(const std::vector<Objectives>& a,
+                const std::vector<Objectives>& b);
+
 /// Deb's constrained dominance: feasible beats infeasible; among infeasible,
 /// lower total violation wins; among feasible, Pareto dominance decides.
 bool constrained_dominates(const Objectives& a, double violation_a,

@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "markov/chain.hpp"
 #include "markov/chain_batch.hpp"
 #include "util/memo_cache.hpp"
 
@@ -56,16 +55,6 @@ struct ClrChainParams {
   /// pne_i = exp(-lambda * interval_time(i)).
   double pne_for_interval(std::size_t i) const;
 };
-
-/// Reference construction of the Fig. 3a timing (`functional` = false,
-/// single absorbing state End) or Fig. 3b functional chain (absorbing
-/// states Error and noError): named-state ChainBuilder assembly with full
-/// input validation, solved eagerly by markov::AbsorbingChain. Its Q, R and
-/// residence entries are bit-identical to what assemble_clr_chain_batch
-/// writes into each lane. Not used by the DSE flows; it is the differential
-/// oracle for the batched kernel and the input to Monte-Carlo simulation.
-markov::AbsorbingChain build_chain_reference(const ClrChainParams& params,
-                                             bool functional);
 
 /// Indices of the functional chain's absorbing states.
 inline constexpr std::size_t kAbsorbError = 0;
@@ -120,13 +109,14 @@ struct ChainBatchOptions {
   bool use_cache = true;
 };
 
-/// Batched dense assembly — the only production CLR chain assembler:
+/// Batched dense assembly — the only CLR chain assembler in the library:
 /// configure `batch` for `lanes.size()` lanes and fill it with the Fig. 3a
 /// timing (resp. 3b functional) chain of each lane's parameters,
 /// lane-major. Each lane's Q / R / residence values are bit-identical to
-/// build_chain_reference(*lanes[l], functional). All lanes must share one
-/// size class (same `intervals`); pad lanes simply repeat a real
-/// ClrChainParams pointer.
+/// those of the test-only reference builder
+/// (tests/oracle/clr_chain_reference.hpp). All lanes must share one size
+/// class (same `intervals`); pad lanes simply repeat a real ClrChainParams
+/// pointer.
 void assemble_clr_chain_batch(
     std::span<const ClrChainParams* const> lanes, bool functional,
     markov::ChainBatch& batch);

@@ -1,11 +1,13 @@
 #include "server/service.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -51,6 +53,17 @@ JobPath split_job_path(const std::string& path) {
   out.id = rest.substr(0, slash);
   if (slash != std::string::npos) out.tail = rest.substr(slash + 1);
   return out;
+}
+
+/// An event cursor (`from`, Last-Event-Id): decimal digits only.
+/// std::from_chars takes no sign, whitespace or trailing bytes, where
+/// std::stoul would read "-1" as 2^64 - 1 and "5abc" as 5.
+std::optional<std::size_t> parse_event_cursor(const std::string& text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
 }
 
 }  // namespace
@@ -288,11 +301,11 @@ HttpResponse DseService::job_events(const HttpRequest& request,
   }
   std::size_t from = 0;
   if (const auto param = request.query_param("from")) {
-    try {
-      from = std::stoul(*param);
-    } catch (const std::exception&) {
+    const std::optional<std::size_t> cursor = parse_event_cursor(*param);
+    if (!cursor) {
       return HttpResponse::json(400, error_body("bad 'from' parameter"));
     }
+    from = *cursor;
   }
   util::JsonArray events;
   for (const ProgressEvent& event : job->events_since(from)) {
@@ -325,18 +338,18 @@ std::optional<HttpResponse> DseService::stream_events_sse(
   }
   std::size_t from = 0;
   if (const auto param = request.query_param("from")) {
-    try {
-      from = std::stoul(*param);
-    } catch (const std::exception&) {
+    const std::optional<std::size_t> cursor = parse_event_cursor(*param);
+    if (!cursor) {
       return HttpResponse::json(400, error_body("bad 'from' parameter"));
     }
+    from = *cursor;
   } else if (const std::string* last = request.header("last-event-id")) {
     // SSE reconnect: the browser replays the last id it saw; resume after.
-    try {
-      from = std::stoul(*last) + 1;
-    } catch (const std::exception&) {
+    const std::optional<std::size_t> seen = parse_event_cursor(*last);
+    if (!seen || *seen == std::numeric_limits<std::size_t>::max()) {
       return HttpResponse::json(400, error_body("bad Last-Event-Id header"));
     }
+    from = *seen + 1;
   }
 
   static util::Counter& streams = util::metric_counter("server.sse.streams");

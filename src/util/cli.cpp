@@ -104,14 +104,18 @@ double ArgParser::get_number(const std::string& name) const {
   // std::from_chars, not std::stod: stod honors LC_NUMERIC (under a
   // comma-decimal locale "1.5" stops parsing at the dot), and from_chars
   // rejects trailing garbage and leading whitespace without a second
-  // `consumed` check.
+  // `consumed` check. It does parse "nan" and "inf", which no option means:
+  // a NaN threshold compares false against every bound and silently
+  // switches its check off.
   const std::string& text = get(name);
   double value = 0.0;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || text.empty()) {
-    throw UsageError("option --" + name + ": '" + text + "' is not a number",
-                     help());
+  if (ec != std::errc{} || ptr != end || text.empty() ||
+      !std::isfinite(value)) {
+    throw UsageError(
+        "option --" + name + ": '" + text + "' is not a finite number",
+        help());
   }
   return value;
 }
@@ -160,18 +164,14 @@ ArgParser& add_log_level_option(ArgParser& parser, LogLevel default_level) {
 }
 
 ArgParser& add_cache_options(ArgParser& parser) {
-  parser.option("cache-size",
-                "capacity in entries of the chain-solve cache (0 disables; "
-                "overrides CLREARLY_CACHE)",
-                "");
-  return parser.flag("no-cache",
-                     "disable the chain-solve cache (same as --cache-size 0)");
+  return parser.option("cache-size",
+                       "capacity in entries of the chain-solve cache (0 "
+                       "disables; overrides CLREARLY_CACHE)",
+                       "");
 }
 
 void apply_cache_options(const ArgParser& parser) {
-  if (parser.has("no-cache")) {
-    set_cache_capacity(0);
-  } else if (parser.has("cache-size")) {
+  if (parser.has("cache-size")) {
     set_cache_capacity(static_cast<std::size_t>(parser.get_uint("cache-size")));
   }
 }

@@ -51,7 +51,8 @@ class ArgParser {
 
   /// Value of an option (explicit or default); throws
   /// std::invalid_argument for undeclared names. The typed accessors throw
-  /// UsageError for a value that is not a number / a non-negative integer.
+  /// UsageError for a value that is not a finite number / a non-negative
+  /// integer.
   const std::string& get(const std::string& name) const;
   double get_number(const std::string& name) const;
   std::uint64_t get_uint(const std::string& name) const;
@@ -97,18 +98,17 @@ ArgParser& add_threads_option(ArgParser& parser);
 ArgParser& add_log_level_option(ArgParser& parser,
                                 LogLevel default_level = LogLevel::Info);
 
-/// Declare the shared memoization-cache options: --cache-size <entries>
-/// (capacity of the chain-solve cache; 0 disables) and --no-cache
-/// (shorthand for --cache-size 0).
+/// Declare the shared memoization-cache option: --cache-size <entries>
+/// (capacity of the chain-solve cache; 0 disables).
 ArgParser& add_cache_options(ArgParser& parser);
 
-/// Apply the declared cache options via set_cache_capacity(): --no-cache
-/// wins over --cache-size; when neither was given the global default
-/// (CLREARLY_CACHE env or kDefaultCacheCapacity) stays in effect.
+/// Apply the declared cache option via set_cache_capacity(); without
+/// --cache-size the global default (CLREARLY_CACHE env or
+/// kDefaultCacheCapacity) stays in effect.
 void apply_cache_options(const ArgParser& parser);
 
 /// Standard driver prologue: declares --help, --threads, --log-level and
-/// --cache-size/--no-cache on `parser` (after any driver-specific
+/// --cache-size on `parser` (after any driver-specific
 /// declarations), parses argv[1:], and
 ///  * on --help prints the generated usage text and returns false (drivers
 ///    then exit 0),

@@ -171,8 +171,8 @@ inline std::size_t next_pow2(std::size_t n) {
 /// cache's counters go with it.
 std::vector<std::pair<std::string, CacheStats>> aggregate_cache_stats();
 
-/// Process-wide default capacity for the DSE caches (the --cache-size /
-/// --no-cache flags). Precedence: set_cache_capacity() override, else the
+/// Process-wide default capacity for the DSE caches (the --cache-size
+/// option). Precedence: set_cache_capacity() override, else the
 /// CLREARLY_CACHE environment variable, else kDefaultCacheCapacity.
 /// 0 at the top of the chain disables caching entirely.
 inline constexpr std::size_t kDefaultCacheCapacity = 1u << 16;

@@ -4,10 +4,11 @@
 //    odd-width staging fallback) and every SIMD dispatch level is
 //    bit-identical to it, including ragged final groups, mixed size
 //    classes, dedupe, cache backfill and singular edge chains;
-//  * the eager full-inverse markov::AbsorbingChain: within 1e-12 relative
-//    (time variance within 1e-9) for random chains of t = 1..40 and for
-//    every CLR size class, and the batched assembler writes the reference
-//    builder's Q / R / residence bit for bit.
+//  * the eager full-inverse oracle::AbsorbingChain (tests/oracle/chain.hpp):
+//    within 1e-12 relative (time variance within 1e-9) for random chains of
+//    t = 1..40 and for every CLR size class, and the batched assembler
+//    writes the reference builder's (tests/oracle/clr_chain_reference.hpp)
+//    Q / R / residence bit for bit.
 // Plus workspace reuse across sizes, no per-chain heap allocation on a warm
 // batch call (counted by this binary's own operator new), the bounded
 // shrink policy, and a concurrent-batch TSan shard.
@@ -25,12 +26,12 @@
 #include <stdexcept>
 #include <vector>
 
-#include "markov/chain.hpp"
+#include "oracle/chain.hpp"
+#include "oracle/clr_chain_reference.hpp"
 #include "platform/pe.hpp"
 #include "reliability/clr_chain_builder.hpp"
 #include "reliability/task_metrics.hpp"
 #include "util/cpu_features.hpp"
-#include "util/matrix.hpp"
 #include "util/memo_cache.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -178,12 +179,12 @@ INSTANTIATE_TEST_SUITE_P(SizeClasses, ChainBatchDifferentialTest,
 /// every target (transient and absorbing), so absorption is guaranteed and
 /// I - Q is comfortably nonsingular.
 struct RandomChain {
-  util::Matrix q, r;
+  oracle::Matrix q, r;
   std::vector<double> residence;
 };
 
 RandomChain random_chain(std::size_t t, std::size_t a, util::Rng& rng) {
-  RandomChain c{util::Matrix(t, t), util::Matrix(t, a),
+  RandomChain c{oracle::Matrix(t, t), oracle::Matrix(t, a),
                 std::vector<double>(t)};
   std::vector<double> w(t + a);
   for (std::size_t i = 0; i < t; ++i) {
@@ -231,7 +232,7 @@ TEST_P(ChainBatchReferenceTest, RandomChainsMatchEagerAbsorbingChain) {
 
       for (std::size_t l = 0; l < width; ++l) {
         const RandomChain& c = chains[l];
-        const AbsorbingChain ref(c.q, c.r, c.residence);
+        const oracle::AbsorbingChain ref(c.q, c.r, c.residence);
         ASSERT_EQ(batch.singular[l], 0);
         const double et = batch.expected_time[l];
         EXPECT_LE(rel_err(et, ref.expected_time(0)), 1e-12);
@@ -273,8 +274,8 @@ TEST(ChainBatchAssemblerTest, LanesMatchReferenceBuilderExactly) {
       ChainBatch batch;
       reliability::assemble_clr_chain_batch(lanes, functional, batch);
       for (std::size_t l = 0; l < kWidth; ++l) {
-        const AbsorbingChain ref =
-            reliability::build_chain_reference(params[l], functional);
+        const oracle::AbsorbingChain ref =
+            oracle::build_chain_reference(params[l], functional);
         const std::size_t t = ref.num_transient();
         const std::size_t a = ref.num_absorbing();
         ASSERT_EQ(batch.t, t);
@@ -306,10 +307,10 @@ TEST(ChainBatchClrReferenceTest, ClrChainsMatchReferenceAccessors) {
     for (std::size_t i = 0; i < params.size(); ++i) {
       SCOPED_TRACE("intervals " + std::to_string(intervals) + " index " +
                    std::to_string(i));
-      const AbsorbingChain timing =
-          reliability::build_chain_reference(params[i], /*functional=*/false);
-      const AbsorbingChain functional =
-          reliability::build_chain_reference(params[i], /*functional=*/true);
+      const oracle::AbsorbingChain timing =
+          oracle::build_chain_reference(params[i], /*functional=*/false);
+      const oracle::AbsorbingChain functional =
+          oracle::build_chain_reference(params[i], /*functional=*/true);
       const double sd = batched[i].exec_time_stddev_us;
       EXPECT_LE(rel_err(batched[i].avg_exec_time_us, timing.expected_time(0)),
                 1e-12);

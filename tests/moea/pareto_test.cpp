@@ -29,6 +29,28 @@ TEST(DominatesTest, MismatchedVectorsThrow) {
   EXPECT_THROW(dominates({}, {}), std::invalid_argument);
 }
 
+const std::vector<Objectives> kStaircase{
+    {1.0, 4.0}, {2.0, 3.0}, {3.0, 2.0}, {4.0, 1.0}};
+
+TEST(CoverageTest, FullAndPartialCoverage) {
+  const std::vector<Objectives> dominating{{0.5, 0.5}};
+  EXPECT_DOUBLE_EQ(coverage(dominating, kStaircase), 1.0);
+  EXPECT_DOUBLE_EQ(coverage(kStaircase, dominating), 0.0);
+
+  const std::vector<Objectives> half{{1.0, 4.0}, {2.0, 3.0}};
+  EXPECT_DOUBLE_EQ(coverage(half, kStaircase), 0.5);  // covers its two twins
+}
+
+TEST(CoverageTest, SelfCoverageIsOne) {
+  // Weak domination: every point covers itself.
+  EXPECT_DOUBLE_EQ(coverage(kStaircase, kStaircase), 1.0);
+}
+
+TEST(CoverageTest, EmptySecondSetRejected) {
+  EXPECT_THROW(coverage(kStaircase, {}), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(coverage({}, kStaircase), 0.0);
+}
+
 TEST(ConstrainedDominatesTest, FeasibleBeatsInfeasible) {
   EXPECT_TRUE(constrained_dominates({9.0, 9.0}, 0.0, {1.0, 1.0}, 0.5));
   EXPECT_FALSE(constrained_dominates({1.0, 1.0}, 0.5, {9.0, 9.0}, 0.0));

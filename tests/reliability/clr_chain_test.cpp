@@ -5,7 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "markov/chain.hpp"
+#include "oracle/clr_chain_reference.hpp"
 
 namespace clrearly::reliability {
 namespace {
@@ -228,10 +228,10 @@ TEST(ClrChainTest, ZeroLambdaIsPerfect) {
 TEST(ClrChainTest, ChainShapesMatchFig3) {
   ClrChainParams p = base_params();
   p.intervals = 2;
-  const markov::AbsorbingChain timing =
-      build_chain_reference(p, /*functional=*/false);
-  const markov::AbsorbingChain functional =
-      build_chain_reference(p, /*functional=*/true);
+  const oracle::AbsorbingChain timing =
+      oracle::build_chain_reference(p, /*functional=*/false);
+  const oracle::AbsorbingChain functional =
+      oracle::build_chain_reference(p, /*functional=*/true);
   // Per interval: Exec, HWRel, SSWImpl, SSWDet, SSWTol, ASWRel (6) plus one
   // Chkpnt between the two intervals.
   EXPECT_EQ(timing.num_transient(), 13u);
@@ -246,8 +246,8 @@ TEST(ClrChainTest, FunctionalAbsorptionProbabilitiesSumToOne) {
   p.tolerance_success = 0.7;
   p.asw_masking = 0.5;
   p.intervals = 3;
-  const markov::AbsorbingChain chain =
-      build_chain_reference(p, /*functional=*/true);
+  const oracle::AbsorbingChain chain =
+      oracle::build_chain_reference(p, /*functional=*/true);
   const double err = chain.absorption_probability(0, kAbsorbError);
   const double ok = chain.absorption_probability(0, kAbsorbNoError);
   EXPECT_NEAR(err + ok, 1.0, 1e-12);
@@ -289,14 +289,14 @@ TEST_P(ClrChainSimTest, AnalyticalMatchesSimulation) {
 
   const ClrChainAnalysis analytic = analyze_clr_chain(p);
 
-  const markov::AbsorbingChain timing =
-      build_chain_reference(p, /*functional=*/false);
-  const auto sim_t = markov::simulate(timing, 0, 60000, 11);
+  const oracle::AbsorbingChain timing =
+      oracle::build_chain_reference(p, /*functional=*/false);
+  const auto sim_t = oracle::simulate(timing, 0, 60000, 11);
   EXPECT_NEAR(sim_t.mean_time / analytic.avg_exec_time_us, 1.0, 0.01);
 
-  const markov::AbsorbingChain functional =
-      build_chain_reference(p, /*functional=*/true);
-  const auto sim_f = markov::simulate(functional, 0, 60000, 13);
+  const oracle::AbsorbingChain functional =
+      oracle::build_chain_reference(p, /*functional=*/true);
+  const auto sim_f = oracle::simulate(functional, 0, 60000, 13);
   EXPECT_NEAR(sim_f.absorption_frequency[kAbsorbError], analytic.error_prob,
               0.01);
 }

@@ -494,6 +494,45 @@ TEST(ServiceTest, SseSinkStreamsProgressAndFinalState) {
   EXPECT_TRUE(frames.empty());
 }
 
+// Event cursors are decimal digits only: a sign, whitespace, trailing bytes
+// or a value past 2^64 - 1 is a 400, not a number read up to the first bad
+// byte ("5abc" as 5) or wrapped ("-1" as 2^64 - 1), and so is a
+// Last-Event-Id whose successor would wrap.
+TEST(ServiceTest, MalformedEventCursorsAre400) {
+  ServiceOptions options;
+  options.workers = 1;
+  DseService service(options);
+  const std::string id =
+      run_to_completion(service, small_job_body("fcclr", 1, /*generations=*/2));
+  const std::string path = "/v1/jobs/" + id + "/events";
+  const auto sink = [](const std::string&) { return true; };
+  for (const std::string bad :
+       {"-1", "+5", " 7", "5abc", "", "18446744073709551616"}) {
+    SCOPED_TRACE("cursor '" + bad + "'");
+    EXPECT_EQ(service.handle(make_request("GET", path, "", "from=" + bad))
+                  .status,
+              400);
+    HttpRequest sse = make_request("GET", path, "", "from=" + bad);
+    sse.headers["accept"] = "text/event-stream";
+    const auto from_error = service.stream_events_sse(sse, sink);
+    ASSERT_TRUE(from_error.has_value());
+    EXPECT_EQ(from_error->status, 400);
+
+    HttpRequest reconnect = make_request("GET", path);
+    reconnect.headers["accept"] = "text/event-stream";
+    reconnect.headers["last-event-id"] = bad;
+    const auto header_error = service.stream_events_sse(reconnect, sink);
+    ASSERT_TRUE(header_error.has_value());
+    EXPECT_EQ(header_error->status, 400);
+  }
+  HttpRequest wraps = make_request("GET", path);
+  wraps.headers["accept"] = "text/event-stream";
+  wraps.headers["last-event-id"] = "18446744073709551615";
+  const auto wrap_error = service.stream_events_sse(wraps, sink);
+  ASSERT_TRUE(wrap_error.has_value());
+  EXPECT_EQ(wrap_error->status, 400);
+}
+
 TEST(ServiceTest, OutOfRangeTaskTypeIs400AndTheDaemonKeepsServing) {
   // An inline application whose task type is -1 is refused at admission,
   // before a worker could run the DSE on it; the next valid job completes.

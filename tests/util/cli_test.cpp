@@ -101,9 +101,11 @@ TEST(ArgParserTest, MalformedCommandLinesAreUsageErrors) {
 
 TEST(ArgParserTest, MalformedNumbersAreRejectedNotTruncated) {
   // std::stod used to accept "1.5abc" (silently dropping the garbage) and
-  // leading whitespace; from_chars rejects both, and the empty string.
+  // leading whitespace; from_chars rejects both, and the empty string. It
+  // parses NaN and the infinities, which get_number rejects on top.
   ArgParser p = make_parser();
-  for (const char* bad : {"1.5abc", "3x", " 7", "", "--", "nan(", "0x10"}) {
+  for (const char* bad : {"1.5abc", "3x", " 7", "", "--", "nan(", "0x10",
+                          "nan", "inf", "-inf"}) {
     p.parse({"--seed", bad});
     EXPECT_THROW(p.get_number("seed"), std::invalid_argument)
         << "value '" << bad << "' must be rejected";
